@@ -6,7 +6,6 @@ Routh-Hurwitz stability and steady-state optomechanical entanglement
 (logarithmic negativity), plus a CLI to sweep and export them.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .entanglement import (
     DriftSystem,
     EntanglementResult,
@@ -61,7 +60,6 @@ from .steadystate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "SystemParams",
     "DerivedCouplings",
     "SteadyState",

@@ -1,94 +1,53 @@
-"""Dense fixed-size numerical kernels.
+"""Dense fixed-size numerical kernels, in plain NumPy.
 
-The matrix kernels (LU, characteristic polynomial, Routh array, Lyapunov
-system, fluctuation matrix, closed-form transfer row) are plain loop code
-over NumPy arrays so that numba can compile it.  When numba is installed
-they are JIT-compiled (nogil, cached); setting ATOMOPTOMECH_NO_NUMBA=1
-forces the pure-Python/NumPy fallback, which is slower.
-benchmarks/bench_kernels.py compares the two paths.
-
-The steady-state root scan, :func:`beta_roots`, is not JIT-compiled: it is
-one NumPy pass that advances all Newton starts together, on every path.
+The pivoted LU, :func:`lu_solve`, works on a stack of systems: each of its
+pivot steps is one set of NumPy operations across the rows and the batch,
+so a whole frequency grid of 6x6 spectrum systems is solved at once and a
+single system is a batch of one.  The fluctuation matrix and the
+closed-form transfer row are elementwise in the frequency, and the
+steady-state root scan, :func:`beta_roots`, advances all Newton starts
+together.  The characteristic polynomial and the Routh array stay small
+per-matrix loops.
 """
-
-import os
 
 import numpy as np
 
-try:
-    import numba
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get("ATOMOPTOMECH_NO_NUMBA", "") not in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-def _jit(func):
-    if NUMBA_ENABLED:
-        return numba.njit(cache=True, nogil=True)(func)
-    return func
-
-
-@_jit
 def lu_solve(a, b):
-    """Solve ``a @ x = b`` by LU with partial pivoting, in place.
+    """Solve ``a[s] @ x[s] = b[s]`` for every system ``s`` of a stack by LU
+    with partial pivoting, in place.
 
-    ``a`` and ``b`` are scratch copies owned by the caller.  Returns
-    ``(x, min_pivot, max_norm)``; the caller decides what pivot magnitude
-    counts as singular.  When a pivot is exactly zero the remaining
-    elimination is abandoned and x is garbage; min_pivot = 0 flags it.
+    ``a`` is (batch, n, n) and ``b`` is (batch, n), scratch copies owned by
+    the caller.  Returns ``(x, min_pivot, max_norm)``, the last two per
+    system; the caller decides what pivot magnitude counts as singular.  A
+    system whose pivot is exactly zero gets min_pivot = 0 and a garbage x.
     """
-    n = a.shape[0]
-    anorm = 0.0
-    for i in range(n):
-        s = 0.0
-        for j in range(n):
-            s += abs(a[i, j])
-        if s > anorm:
-            anorm = s
-    min_pivot = np.inf
-    for k in range(n):
-        piv = k
-        pmax = abs(a[k, k])
-        for i in range(k + 1, n):
-            m = abs(a[i, k])
-            if m > pmax:
-                pmax = m
-                piv = i
-        if piv != k:
-            for j in range(n):
-                tmp = a[k, j]
-                a[k, j] = a[piv, j]
-                a[piv, j] = tmp
-            tmpb = b[k]
-            b[k] = b[piv]
-            b[piv] = tmpb
-        if pmax < min_pivot:
-            min_pivot = pmax
-        if pmax == 0.0:
-            return b, 0.0, anorm
-        for i in range(k + 1, n):
-            f = a[i, k] / a[k, k]
-            a[i, k] = f
-            for j in range(k + 1, n):
-                a[i, j] -= f * a[k, j]
-            b[i] -= f * b[k]
-    for i in range(n - 1, -1, -1):
-        s = b[i]
-        for j in range(i + 1, n):
-            s -= a[i, j] * b[j]
-        b[i] = s / a[i, i]
+    batch, n = b.shape
+    systems = np.arange(batch)
+    anorm = np.abs(a).sum(axis=2).max(axis=1)
+    min_pivot = np.full(batch, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            mag = np.abs(a[:, k:, k])
+            piv = k + np.argmax(mag, axis=1)
+            # fmin skips NaN, so a zero pivot stays recorded when the
+            # elimination after it turns that system into NaN.
+            min_pivot = np.fmin(min_pivot, mag.max(axis=1))
+            a[systems, k], a[systems, piv] = a[systems, piv], a[systems, k]
+            b[systems, k], b[systems, piv] = b[systems, piv], b[systems, k]
+            f = a[:, k + 1 :, k] / a[:, k, k, None]
+            a[:, k + 1 :, k + 1 :] -= f[:, :, None] * a[:, None, k, k + 1 :]
+            b[:, k + 1 :] -= f * b[:, k, None]
+        # Back substitution subtracts each row's terms one after another in
+        # column order (subtract.reduce is a left fold, not a pairwise sum),
+        # so a system rounds the same whatever its size or batch.
+        for i in range(n - 1, -1, -1):
+            terms = a[:, i, i + 1 :] * b[:, i + 1 :]
+            s = np.subtract.reduce(np.concatenate((b[:, i, None], terms), axis=1), axis=1)
+            b[:, i] = s / a[:, i, i]
     return b, min_pivot, anorm
 
 
-@_jit
 def char_poly_coeffs(j):
     """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
     n = j.shape[0]
@@ -109,7 +68,6 @@ def char_poly_coeffs(j):
     return coeffs
 
 
-@_jit
 def routh_flags(coeffs):
     """Routh array sign test for a monic polynomial.
 
@@ -155,22 +113,10 @@ def routh_flags(coeffs):
     return stable, marginal
 
 
-@_jit
 def lyapunov_system(j, d):
-    """Vectorize j v + v j^T = -d into a 36x36 column-stacked linear system."""
-    n = j.shape[0]
-    nn = n * n
-    k = np.zeros((nn, nn))
-    rhs = np.zeros(nn)
-    for c in range(n):
-        for r in range(n):
-            row = c * n + r
-            rhs[row] = -d[r, c]
-            for rp in range(n):
-                k[row, c * n + rp] += j[r, rp]
-            for cp in range(n):
-                k[row, cp * n + r] += j[c, cp]
-    return k, rhs
+    """Vectorize j v + v j^T = -d into an n^2 x n^2 column-stacked linear system."""
+    eye = np.eye(j.shape[0])
+    return np.kron(eye, j) + np.kron(j, eye), -d.flatten("F")
 
 
 def _excitation_parts(cr, ci, x, y, x2, y2):
@@ -191,10 +137,10 @@ def beta_roots(delta_r, gamma_r, grid_n, tol, max_iter, dedup_tol):
 
     Same algorithm as the generic 2-D multistart (central finite-difference
     Jacobian, silent discard of non-converged starts), run as one NumPy pass
-    in which all grid_n x grid_n starts on [-2, 2]^2 advance together; it
-    is not JIT-compiled.  A start is dropped when f or the Jacobian
-    determinant is non-finite, the determinant is zero, the step is
-    non-finite, or it has not converged after ``max_iter`` residual checks.
+    in which all grid_n x grid_n starts on [-2, 2]^2 advance together.  A
+    start is dropped when f or the Jacobian determinant is non-finite, the
+    determinant is zero, the step is non-finite, or it has not converged
+    after ``max_iter`` residual checks.
     Converged starts are deduplicated in grid order.  Returns (roots, count)
     with the roots packed in the first ``count`` slots.
     """
@@ -263,44 +209,44 @@ def beta_roots(delta_r, gamma_r, grid_n, tol, max_iter, dedup_tol):
     return roots, count
 
 
-@_jit
 def fluctuation_matrix(w, kappa, gamma_a, delta, delta_a_prime, g1, g2, g3, g0cs, wm, gm):
-    """Frequency-domain 6x6 matrix of the linearized dynamics.
+    """Frequency-domain 6x6 matrix of the linearized dynamics, one per
+    entry of ``w``: the result has shape ``w.shape + (6, 6)``.
 
     Basis order: intracavity field, its conjugate, collective atomic mode,
     its conjugate, mirror position, mirror momentum.
     """
+    w = np.asarray(w, dtype=float)
     mu1 = kappa + 1j * (delta - w)
     mu2 = kappa - 1j * (delta + w)
     nu1 = gamma_a + 1j * (delta_a_prime - w)
     nu2 = gamma_a - 1j * (delta_a_prime + w)
-    a = np.zeros((6, 6), dtype=np.complex128)
-    a[0, 0] = mu1
-    a[0, 2] = 1j * g2
-    a[0, 3] = -1j * g3
-    a[0, 4] = -1j * g0cs
-    a[1, 1] = mu2
-    a[1, 2] = 1j * np.conj(g3)
-    a[1, 3] = -1j * np.conj(g2)
-    a[1, 4] = 1j * np.conj(g0cs)
-    a[2, 0] = 1j * g2
-    a[2, 1] = -1j * g3
-    a[2, 2] = nu1
-    a[2, 3] = -1j * g1
-    a[3, 0] = 1j * np.conj(g3)
-    a[3, 1] = -1j * np.conj(g2)
-    a[3, 2] = 1j * np.conj(g1)
-    a[3, 3] = nu2
-    a[4, 4] = 1j * w
-    a[4, 5] = wm
-    a[5, 0] = -np.conj(g0cs)
-    a[5, 1] = -g0cs
-    a[5, 4] = wm
-    a[5, 5] = gm - 1j * w
+    a = np.zeros(w.shape + (6, 6), dtype=np.complex128)
+    a[..., 0, 0] = mu1
+    a[..., 0, 2] = 1j * g2
+    a[..., 0, 3] = -1j * g3
+    a[..., 0, 4] = -1j * g0cs
+    a[..., 1, 1] = mu2
+    a[..., 1, 2] = 1j * np.conj(g3)
+    a[..., 1, 3] = -1j * np.conj(g2)
+    a[..., 1, 4] = 1j * np.conj(g0cs)
+    a[..., 2, 0] = 1j * g2
+    a[..., 2, 1] = -1j * g3
+    a[..., 2, 2] = nu1
+    a[..., 2, 3] = -1j * g1
+    a[..., 3, 0] = 1j * np.conj(g3)
+    a[..., 3, 1] = -1j * np.conj(g2)
+    a[..., 3, 2] = 1j * np.conj(g1)
+    a[..., 3, 3] = nu2
+    a[..., 4, 4] = 1j * w
+    a[..., 4, 5] = wm
+    a[..., 5, 0] = -np.conj(g0cs)
+    a[..., 5, 1] = -g0cs
+    a[..., 5, 4] = wm
+    a[..., 5, 5] = gm - 1j * w
     return a
 
 
-@_jit
 def transfer_row_closed(w, kappa, gamma_a, delta, delta_a_prime, g1, g2, g3, g0, cs, wm, gm):
     """Closed-form first row of the inverse fluctuation matrix.
 

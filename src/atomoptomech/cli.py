@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class RunConfig:
     grid_min: float = 0.0
     grid_max: float = 0.0
     grid_points: int = 0
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def grid(self, unit: float):
         return np.linspace(self.grid_min, self.grid_max, self.grid_points) * unit
@@ -78,8 +77,7 @@ class RunConfig:
 def _run_config(args, mode: str, **kw) -> RunConfig:
     params = build_params(args)
     validate(params)
-    workers = getattr(args, "workers", None) or os.cpu_count() or 1
-    cfg = RunConfig(params=params, mode=mode, workers=workers, **kw)
+    cfg = RunConfig(params=params, mode=mode, **kw)
     for path in (cfg.out, cfg.svg):
         if path:
             parent = os.path.dirname(os.path.abspath(path))
@@ -297,7 +295,6 @@ def cmd_spectrum(args) -> int:
         (params.delta_r, params.gamma_r),
         cfg.g_values,
         cfg.grid(params.omega_m),
-        workers=cfg.workers,
     )
     text = spectrum_csv(table)
     if cfg.out:
@@ -340,7 +337,6 @@ def cmd_entangle(args) -> int:
         (params.delta_r, params.gamma_r),
         args.g if args.g is not None else params.coupling_G / params.kappa,
         cfg.grid(params.omega_m),
-        workers=cfg.workers,
     )
     text = entangle_csv(rows)
     if cfg.out:
@@ -359,12 +355,12 @@ def cmd_entangle(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_fig2(params, outdir, points, workers):
+def _reproduce_fig2(params, outdir, points):
     files = []
     for tag, case in (("a", (1.0, 1.0)), ("b", (2.5, 2.5)), ("c", (8.0, 8.0))):
         p = params.replace(delta=-params.omega_m)
         grid = np.linspace(0.5, 1.5, points) * p.omega_m
-        table = spectrum_sweep(p, case, (25.0, 50.0, 75.0, 100.0), grid, workers=workers)
+        table = spectrum_sweep(p, case, (25.0, 50.0, 75.0, 100.0), grid)
         csv_path = os.path.join(outdir, f"fig2{tag}.csv")
         _write_text(csv_path, spectrum_csv(table))
         series = [
@@ -397,14 +393,14 @@ def _entangle_columns_csv(xs, columns, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reproduce_fig3(params, outdir, points, workers):
+def _reproduce_fig3(params, outdir, points):
     files = []
     grid = np.linspace(0.0, 3.0, points) * params.omega_m
     xs = [d / params.omega_m for d in grid]
     for tag, g in (("a", 25.0), ("b", 100.0)):
         cols, labels = [], []
         for case_tag, case in (("1", (1.0, 1.0)), ("8", (8.0, 8.0))):
-            rows = detuning_sweep(params, case, g, grid, workers=workers)
+            rows = detuning_sweep(params, case, g, grid)
             cols.append([r.e_n for r in rows])
             labels.append(f"e_n_case{case_tag}")
         csv_path = os.path.join(outdir, f"fig3{tag}.csv")
@@ -425,7 +421,7 @@ def _reproduce_fig3(params, outdir, points, workers):
     return files
 
 
-def _reproduce_fig4(params, outdir, points, workers):
+def _reproduce_fig4(params, outdir, points):
     files = []
     grid = np.linspace(0.0, 3.0, points) * params.omega_m
     xs = [d / params.omega_m for d in grid]
@@ -433,7 +429,7 @@ def _reproduce_fig4(params, outdir, points, workers):
         cols, labels = [], []
         for n_atoms in (1e6, 1e7):
             p = params.replace(n_atoms=n_atoms)
-            rows = detuning_sweep(p, (1.0, 1.0), g, grid, workers=workers)
+            rows = detuning_sweep(p, (1.0, 1.0), g, grid)
             cols.append([r.e_n for r in rows])
             labels.append(f"e_n_n{n_atoms:.0e}".replace("+0", ""))
         csv_path = os.path.join(outdir, f"fig4{tag}.csv")
@@ -467,7 +463,7 @@ def cmd_reproduce(args) -> int:
     for name in targets:
         fn, pts = jobs[name]
         try:
-            files = fn(cfg.params, cfg.outdir, pts, cfg.workers)
+            files = fn(cfg.params, cfg.outdir, pts)
             for f in files:
                 print(f"wrote {f}")
         except Exception as exc:  # noqa: BLE001 - panel isolation is the contract
@@ -505,7 +501,6 @@ def main(argv=None) -> int:
     p_spec.add_argument("--points", type=int, default=2000)
     p_spec.add_argument("--out", help="CSV output path")
     p_spec.add_argument("--svg", help="SVG output path")
-    p_spec.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_ent = sub.add_parser("entangle", help="log-negativity detuning sweep")
@@ -515,7 +510,6 @@ def main(argv=None) -> int:
     p_ent.add_argument("--points", type=int, default=500)
     p_ent.add_argument("--out", help="CSV output path")
     p_ent.add_argument("--svg", help="SVG output path")
-    p_ent.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_ent.set_defaults(func=cmd_entangle)
 
     p_rep = sub.add_parser("reproduce", help="regenerate the reference figure data sets")
@@ -523,7 +517,6 @@ def main(argv=None) -> int:
     p_rep.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
     p_rep.add_argument("--outdir", default=".")
     p_rep.add_argument("--points", type=int, default=None)
-    p_rep.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_ver = sub.add_parser("verify", help="run the built-in oracle cross-checks")

@@ -13,7 +13,6 @@ Convention: vacuum variance 1/2 per quadrature.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,21 +151,13 @@ def detuning_sweep(
     case: tuple[float, float],
     g: float,
     delta_grid,
-    workers: int = 1,
 ) -> list[EntanglementResult]:
-    """Log-negativity over a grid of effective detunings.
+    """Log-negativity over a grid of effective detunings, one point at a
+    time (each detuning needs its own stability verdict).
 
     ``g`` is in units of kappa, ``delta_grid`` in rad/s.  Unstable points
     are data (stable=False rows), not failures.
     """
     delta_r, gamma_r = case
     base = params.replace(delta_r=delta_r, gamma_r=gamma_r, coupling_G=g * params.kappa)
-    grid = list(delta_grid)
-
-    def one(delta):
-        return entanglement_at(base.replace(delta=float(delta)))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, grid))
-    return [one(d) for d in grid]
+    return [entanglement_at(base.replace(delta=float(delta))) for delta in delta_grid]

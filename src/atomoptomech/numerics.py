@@ -3,8 +3,8 @@
 Complex 6x6 solves, a 2-D multistart Newton, characteristic polynomials,
 Routh-Hurwitz stability, Lyapunov solves via a 36x36 vectorized system and
 the closed-form smallest symplectic eigenvalue.  No general-purpose linear
-algebra backend is used at runtime; the LU elimination lives in
-``_kernels`` so it can be JIT-compiled.
+algebra backend is used at runtime; the batched LU elimination lives in
+``_kernels``.
 """
 
 import numpy as np
@@ -38,29 +38,29 @@ PIVOT_TOL = 1e-14
 def solve_complex(a, b):
     """Solve the square complex system ``a x = b`` by pivoted LU.
 
-    Raises SingularMatrix when any pivot falls below ``1e-14 * ||a||_inf``,
-    which in the spectrum code signals hitting a resonance pole.
+    ``a`` is n x n, or a stack (..., n, n) solved in one batched pass with
+    ``b`` of shape (..., n).  A system is singular when a pivot falls below
+    ``1e-14 * ||a||_inf``, which in the spectrum code signals hitting a
+    resonance pole: a single system raises SingularMatrix, while in a stack
+    the singular systems come back as rows of NaN.
     """
     a = np.array(a, dtype=np.complex128)
     b = np.array(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-        raise ValueError("solve_complex expects n x n matrix and length-n vector")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape[:-1]:
+        raise ValueError("solve_complex expects n x n matrices and length-n vectors")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("non-finite matrix entries")
-    x, min_pivot, anorm = lu_solve(a, b)
-    if min_pivot <= PIVOT_TOL * anorm:
-        raise SingularMatrix(f"pivot {min_pivot:.3e} below {PIVOT_TOL:.0e} * {anorm:.3e}")
-    return x
-
-
-def solve_real(a, b):
-    """Real variant of :func:`solve_complex` (used by the Lyapunov solver)."""
-    a = np.array(a, dtype=np.float64)
-    b = np.array(b, dtype=np.float64)
-    x, min_pivot, anorm = lu_solve(a, b)
-    if min_pivot <= PIVOT_TOL * anorm:
-        raise SingularMatrix(f"pivot {min_pivot:.3e} below threshold")
-    return x
+    n = a.shape[-1]
+    x, min_pivot, anorm = lu_solve(a.reshape(-1, n, n), b.reshape(-1, n))
+    singular = min_pivot <= PIVOT_TOL * anorm
+    if a.ndim == 2:
+        if singular[0]:
+            raise SingularMatrix(
+                f"pivot {min_pivot[0]:.3e} below {PIVOT_TOL:.0e} * {anorm[0]:.3e}"
+            )
+        return x[0]
+    x[singular] = np.nan
+    return x.reshape(b.shape)
 
 
 def _fd_jacobian(f, x, y):
@@ -145,11 +145,11 @@ def lyapunov_solve(j, d):
     if not routh_hurwitz_stable(char_poly(j)):
         raise UnstableDrift("drift matrix is not Hurwitz stable")
     k, rhs = lyapunov_system(j, d)
-    x, min_pivot, anorm = lu_solve(k, rhs)
-    if min_pivot <= PIVOT_TOL * anorm:
+    x, min_pivot, anorm = lu_solve(k[None], rhs[None])
+    if min_pivot[0] <= PIVOT_TOL * anorm[0]:
         raise SingularSystem("vectorized Lyapunov system has a vanishing pivot")
     n = j.shape[0]
-    v = x.reshape((n, n), order="F")
+    v = x[0].reshape((n, n), order="F")
     return (v + v.T) / 2.0
 
 

@@ -124,9 +124,9 @@ class TestSpectrumCommand:
         out2 = tmp_path / "b.csv"
         common = ["spectrum", "--case", "1", "--g", "25", "--g", "50",
                   "--points", "21", "--omega-min", "0.9", "--omega-max", "1.1"]
-        code, _, _ = run_cli(capsys, *common, "--out", str(out1), "--workers", "1")
+        code, _, _ = run_cli(capsys, *common, "--out", str(out1))
         assert code == 0
-        code, _, _ = run_cli(capsys, *common, "--out", str(out2), "--workers", "4")
+        code, _, _ = run_cli(capsys, *common, "--out", str(out2))
         assert code == 0
         b1 = out1.read_bytes()
         assert b1 == out2.read_bytes()
@@ -135,6 +135,17 @@ class TestSpectrumCommand:
         assert len(lines) == 22
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.9)
+
+    def test_zero_frequency_at_finite_temperature(self, capsys):
+        # omega = 0 at T > 0 takes the finite limit of the thermal weight
+        code, out, err = run_cli(
+            capsys, "spectrum", "--temperature", "1e-3", "--omega-min", "0",
+            "--points", "5", "--g", "25",
+        )
+        assert code == 0 and err == ""
+        first = out.splitlines()[1].split(",")
+        assert float(first[0]) == 0.0
+        assert math.isfinite(float(first[1]))
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "plot.svg"
@@ -168,7 +179,7 @@ class TestReproduceCommand:
     def test_fig2_panel_set(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "reproduce", "fig2", "--outdir", str(tmp_path),
-            "--points", "15", "--workers", "1",
+            "--points", "15",
         )
         assert code == 0
         for tag in "abc":
@@ -182,7 +193,6 @@ class TestReproduceCommand:
     def test_fig3_fig4_panel_sets(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "reproduce", "fig3", "--outdir", str(tmp_path), "--points", "7",
-            "--workers", "1",
         )
         assert code == 0
         for tag in "ab":
@@ -191,7 +201,6 @@ class TestReproduceCommand:
             assert len(lines) == 8
         code, _, _ = run_cli(
             capsys, "reproduce", "fig4", "--outdir", str(tmp_path), "--points", "7",
-            "--workers", "1",
         )
         assert code == 0
         for tag in "ab":

@@ -225,10 +225,3 @@ class TestDetuningSweep:
         rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, [8.0 * p.omega_m])
         assert rows[0].stable
         assert rows[0].e_n == pytest.approx(0.0, abs=1e-4)
-
-    def test_workers_identical(self, default_params):
-        p = default_params
-        grid = np.linspace(0.1, 2.5, 11) * p.omega_m
-        a = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid, workers=1)
-        b = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid, workers=3)
-        assert a == b

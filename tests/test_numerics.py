@@ -3,6 +3,8 @@ import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
 
 import atomoptomech as am
+from atomoptomech._kernels import lu_solve
+from atomoptomech.numerics import PIVOT_TOL
 
 
 class TestSolveComplex:
@@ -34,6 +36,24 @@ class TestSolveComplex:
         a[0, 0] = 1.0
         with pytest.raises(am.SingularMatrix):
             am.solve_complex(a, np.ones(6, dtype=complex))
+
+    def test_stack_matches_oracle_and_flags_singular(self):
+        # one batched pass over a stack against a per-system oracle; the
+        # system in the middle has a zero column, so its pivot is exactly
+        # zero and the elimination after it runs into NaN
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
+        b = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+        a[4, :, 2] = 0.0
+        _, min_pivot, anorm = lu_solve(a.copy(), b.copy())
+        flagged = min_pivot <= PIVOT_TOL * anorm
+        assert flagged.tolist() == [False] * 4 + [True] + [False] * 4
+        x = am.solve_complex(a, b)
+        assert x.shape == (9, 6)
+        assert np.all(np.isnan(x[4]))
+        for k in (0, 1, 2, 3, 5, 6, 7, 8):
+            want = np.linalg.solve(a[k], b[k])
+            assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_shape_and_finiteness_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +92,7 @@ class TestNewton2d:
         assert roots == []
 
     def test_matches_specialized_beta_path(self):
-        # generic multistart against the JIT-specialized root scan
+        # generic multistart against the specialized root scan
         for dr, gr in ((1.0, 1.0), (2.5, 2.5), (8.0, 8.0), (3.3, 0.7)):
             def f(x, y, dr=dr, gr=gr):
                 v = am.excitation_equation(x + 1j * y, dr, gr)

@@ -4,7 +4,26 @@ import pytest
 import atomoptomech as am
 from atomoptomech.params import DerivedCouplings
 from atomoptomech.selfcheck import random_stable_operating_point
+from atomoptomech.spectrum import thermal_factor
 from atomoptomech.steadystate import SteadyState
+
+
+def _closed_form_s(p, cpl, ss, w):
+    """S at w from the closed-form transfer coefficients at +-w; NaN at a pole."""
+    try:
+        with np.errstate(all="ignore"):
+            tp = am.transfer_closed_form(p, cpl, ss, w)
+            tm = am.transfer_closed_form(p, cpl, ss, -w)
+    except am.PoleAtOmega:
+        return np.nan
+    th = float(thermal_factor(p, w))
+    u = tp.a_c + tp.c_c
+    v = tm.b_c + tm.d_c
+    s = (
+        abs(u) ** 2 + abs(v) ** 2 + (abs(tp.f_c) ** 2 + abs(tm.f_c) ** 2) * th
+        - 2.0 * abs(u * v + tp.f_c * tm.f_c * th)
+    )
+    return max(0.0, s)
 
 
 def _zero_coupling(default_params):
@@ -158,6 +177,15 @@ class TestOutputSpectrum:
             s2 = am.output_spectrum(p2, cpl2, ss2, w * p2.omega_m).s_out
             assert s2 == pytest.approx(s1, rel=1e-9)
 
+    def test_thermal_factor_zero_frequency_limit(self, default_params):
+        pt = default_params.replace(temperature=1e-3)
+        from atomoptomech.params import HBAR, K_BOLTZMANN
+
+        limit = 2.0 * pt.gamma_m * K_BOLTZMANN * pt.temperature / (HBAR * pt.omega_m)
+        assert thermal_factor(pt, 0.0) == pytest.approx(limit, rel=1e-15)
+        near = thermal_factor(pt, np.array([-1e-6, 0.0, 1e-6]) * pt.omega_m)
+        np.testing.assert_allclose(near, limit, rtol=1e-5)
+
     def test_thermal_factor_limits(self, default_params):
         p = default_params
         from atomoptomech.spectrum import thermal_factor
@@ -193,12 +221,28 @@ class TestSpectrumSweep:
         assert tab.s_out.shape == (41, 4)
         assert np.all(np.isfinite(tab.s_out))
 
-    def test_workers_identical(self, default_params):
-        p = default_params
-        grid = np.linspace(0.5, 1.5, 31) * p.omega_m
-        a = am.spectrum_sweep(p, (2.5, 2.5), (50.0,), grid, workers=1)
-        b = am.spectrum_sweep(p, (2.5, 2.5), (50.0,), grid, workers=4)
-        assert np.array_equal(a.s_out, b.s_out)
+    @pytest.mark.parametrize("pole", [False, True], ids=["smooth", "pole-row"])
+    def test_matches_closed_form_route(self, default_params, pole):
+        # the batched LU sweep against S assembled point by point from the
+        # closed-form route at +-omega; a lossless cavity driven on its
+        # detuning puts a pole row on the grid
+        if pole:
+            p = default_params.replace(kappa=0.0, delta=0.9 * default_params.omega_m)
+            g_values = (0.0,)
+        else:
+            p = default_params.replace(temperature=1e-3)
+            g_values = (25.0, 100.0)
+        grid = np.linspace(0.0, 1.5, 31) * p.omega_m
+        tab = am.spectrum_sweep(p, (2.5, 2.5), g_values, grid)
+        for col, g in enumerate(g_values):
+            pg = p.replace(delta_r=2.5, gamma_r=2.5, coupling_G=g * p.kappa)
+            ss = am.fixed_point(pg)
+            cpl = am.derive_couplings(pg, ss)
+            want = np.array([_closed_form_s(pg, cpl, ss, w) for w in grid])
+            got = tab.s_out[:, col]
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.isnan(got).sum() == (1 if pole else 0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
     def test_pole_rows_marked_null_sweep_continues(self, default_params):
         p = default_params.replace(kappa=0.0, delta=0.9 * default_params.omega_m)
