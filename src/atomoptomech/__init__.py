@@ -23,7 +23,6 @@ from .numerics import (
     UnstableDrift,
     char_poly,
     lyapunov_solve,
-    newton2d_multistart,
     routh_hurwitz_flags,
     routh_hurwitz_stable,
     solve_complex,
@@ -87,7 +86,6 @@ __all__ = [
     "entanglement_at",
     "detuning_sweep",
     "solve_complex",
-    "newton2d_multistart",
     "char_poly",
     "routh_hurwitz_stable",
     "routh_hurwitz_flags",

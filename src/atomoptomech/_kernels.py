@@ -4,9 +4,10 @@ The pivoted LU, :func:`lu_solve`, works on a stack of systems: each of its
 pivot steps is one set of NumPy operations across the rows and the batch,
 so a whole frequency grid of 6x6 spectrum systems is solved at once and a
 single system is a batch of one.  The fluctuation matrix and the
-closed-form transfer row are elementwise in the frequency, and the
-steady-state root scan, :func:`beta_roots`, advances all Newton starts
-together.  The characteristic polynomial and the Routh array stay small
+closed-form transfer row are elementwise in the frequency.  The
+steady-state roots, :func:`beta_roots`, come from one real quartic solved
+by Aberth-Ehrlich iteration and polished by Newton steps on the 2-D
+equation.  The characteristic polynomial and the Routh array stay small
 per-matrix loops.
 """
 
@@ -119,94 +120,70 @@ def lyapunov_system(j, d):
     return np.kron(eye, j) + np.kron(j, eye), -d.flatten("F")
 
 
-def _excitation_parts(cr, ci, x, y, x2, y2):
-    """Re and Im of ``coef * b + 2.0 * (x2 + y2) + b * b - 2.0`` at
-    b = x + iy, coef = cr + i ci, with each complex product written out
-    term by term in the order Python's complex arithmetic uses.
+def _quartic_roots(a):
+    """The four complex roots of the monic quartic with real coefficients
+    ``a`` (highest power first), by Aberth-Ehrlich iteration."""
+    # The iteration runs on the roots over Fujiwara's bound on them, with
+    # a[k] divided by it k times, so that no power can overflow.
+    radius = 2.0 * max(abs(a[k]) ** (1.0 / k) for k in range(1, 5))
+    a = a.astype(float)
+    for k in range(1, 5):
+        a[k:] /= radius
+    da = a[:-1] * np.arange(4.0, 0.0, -1.0)
+    # Starts off the real axis and off conjugate symmetry.
+    z = np.exp(1j * (0.5 * np.pi * np.arange(4) + 0.4))
+    for _ in range(100):
+        ratio = np.polyval(a, z) / np.polyval(da, z)
+        diff = z[:, None] - z
+        np.fill_diagonal(diff, np.inf)
+        w = ratio / (1.0 - ratio * (1.0 / diff).sum(axis=1))
+        z = z - w
+        if np.all(np.abs(w) <= 1e-14 * np.abs(z)) or not np.isfinite(z).all():
+            break
+    return radius * z
 
-    ``x2``/``y2`` are the squares inside |b|^2; they are arguments because
-    the shifted finite-difference points square with pow, the centre with
-    a product."""
-    re = cr * x - ci * y + 2.0 * (x2 + y2) + (x * x - y * y) - 2.0
-    im = cr * y + ci * x + (x * y + y * x)
-    return re, im
 
+def beta_roots(delta_r, gamma_r):
+    """All distinct roots of the collective-amplitude fixed-point equation
+    -2(d - i g) b + 2|b|^2 + b^2 - 2 = 0, d = delta_r, g = gamma_r.
 
-def beta_roots(delta_r, gamma_r, grid_n, tol, max_iter, dedup_tol):
-    """Multistart Newton for the collective-amplitude fixed-point equation.
-
-    Same algorithm as the generic 2-D multistart (central finite-difference
-    Jacobian, silent discard of non-converged starts), run as one NumPy pass
-    in which all grid_n x grid_n starts on [-2, 2]^2 advance together.  A
-    start is dropped when f or the Jacobian determinant is non-finite, the
-    determinant is zero, the step is non-finite, or it has not converged
-    after ``max_iter`` residual checks.
-    Converged starts are deduplicated in grid order.  Returns (roots, count)
-    with the roots packed in the first ``count`` slots.
+    With b = x + iy the imaginary part gives y = -g x / (x - d), and the
+    real part then reduces to one real quartic in x.  Its real roots, mapped
+    to y, and the points y = g +- sqrt(g^2 + 2 - d^2) on the line x = d
+    (roots when d g = 0, near roots when d g is small) take six Newton
+    steps on the 2-D equation.  A result is kept when its residual is at
+    most 1e-12 max(1, |b|^2) and it lies farther than 1e-6 max(1, |b|) from
+    the roots kept before it.  A non-finite coefficient gives no roots.
     """
-    cap = grid_n * grid_n
-    coef = -2.0 * (delta_r - 1j * gamma_r)
-    cr, ci = coef.real, coef.imag
-    axis = -2.0 + 4.0 * np.arange(grid_n) / (grid_n - 1)
-    x = np.repeat(axis, grid_n)
-    y = np.tile(axis, grid_n)
-    start = np.arange(cap)
-    done_x = np.full(cap, np.nan)
-    done_y = np.full(cap, np.nan)
+    d, g = np.float64(delta_r), np.float64(gamma_r)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
-            x2, y2 = x * x, y * y
-            fr, fi = _excitation_parts(cr, ci, x, y, x2, y2)
-            finite = np.isfinite(fr) & np.isfinite(fi)
-            conv = finite & (np.maximum(np.abs(fr), np.abs(fi)) <= tol)
-            done_x[start[conv]] = x[conv]
-            done_y[start[conv]] = y[conv]
-            hx = 1e-7 * (1.0 + np.abs(x))
-            hy = 1e-7 * (1.0 + np.abs(y))
-            # |b|^2 at a shifted point squares with the C library's pow
-            # (np.float_power), the rounding of Python's (x + h) ** 2 on a
-            # float; ** on an array is x * x, which can differ in the last
-            # bit and so move a root by an ulp.
-            xp, xm, yp, ym = x + hx, x - hx, y + hy, y - hy
-            fpx = _excitation_parts(cr, ci, xp, y, np.float_power(xp, 2.0), y2)
-            fmx = _excitation_parts(cr, ci, xm, y, np.float_power(xm, 2.0), y2)
-            fpy = _excitation_parts(cr, ci, x, yp, x2, np.float_power(yp, 2.0))
-            fmy = _excitation_parts(cr, ci, x, ym, x2, np.float_power(ym, 2.0))
-            j00 = (fpx[0] - fmx[0]) / (2.0 * hx)
-            j10 = (fpx[1] - fmx[1]) / (2.0 * hx)
-            j01 = (fpy[0] - fmy[0]) / (2.0 * hy)
-            j11 = (fpy[1] - fmy[1]) / (2.0 * hy)
+        coeffs = np.array([3.0, -8.0 * d, 7.0 * d * d + 3.0 * g * g - 2.0,
+                           4.0 * d - 2.0 * (d * d + g * g) * d, -2.0 * d * d])
+        if not np.all(np.isfinite(coeffs)):
+            return np.zeros(0, dtype=np.complex128)
+        z = _quartic_roots(coeffs / 3.0)
+        # A near-double real root can come back with a small imaginary part.
+        x = z.real[np.abs(z.imag) <= 1e-6 * np.maximum(np.abs(z), 1.0)]
+        # A root at x = d maps to a non-finite y and fails the residual test.
+        y = -g * x / (x - d)
+        disc = g * g + 2.0 - d * d
+        if disc >= 0.0:
+            x = np.append(x, [d, d])
+            y = np.append(y, [g + np.sqrt(disc), g - np.sqrt(disc)])
+        # The seventh pass only evaluates: its step is not taken.
+        for _ in range(7):
+            b = x + 1j * y
+            fr = x * (3.0 * x - 2.0 * d) + y * (y - 2.0 * g) - 2.0
+            fi = 2.0 * (g * x - d * y + x * y)
+            j00, j01, j10, j11 = 6.0 * x - 2.0 * d, 2.0 * (y - g), 2.0 * (g + y), 2.0 * (x - d)
             det = j00 * j11 - j01 * j10
-            x = x - (fr * j11 - fi * j01) / det
-            y = y - (fi * j00 - fr * j10) / det
-            keep = (
-                finite
-                & ~conv
-                & (det != 0.0)
-                & np.isfinite(det)
-                & np.isfinite(x)
-                & np.isfinite(y)
-            )
-            x, y, start = x[keep], y[keep], start[keep]
-            if start.size == 0:
-                break
-    # A converged start is a duplicate iff it lies within dedup_tol of an
-    # accepted root from an earlier start; accepting the first undecided
-    # start and striking its later neighbours reproduces that in grid order.
-    cand = np.flatnonzero(~np.isnan(done_x))
-    cx, cy = done_x[cand], done_y[cand]
-    open_ = np.ones(cand.size, dtype=bool)
-    roots = np.zeros(cap, dtype=np.complex128)
-    count = 0
-    while open_.any():
-        k = np.argmax(open_)
-        roots.real[count] = cx[k]
-        roots.imag[count] = cy[k]
-        count += 1
-        dr = cx - cx[k]
-        di = cy - cy[k]
-        open_ &= dr * dr + di * di > dedup_tol * dedup_tol
-    return roots, count
+            x, y = x - (fr * j11 - fi * j01) / det, y - (fi * j00 - fr * j10) / det
+        ok = np.maximum(np.abs(fr), np.abs(fi)) <= 1e-12 * np.maximum(1.0, np.abs(b) ** 2)
+    roots = []
+    for r in b[ok]:
+        if all(abs(r - k) > 1e-6 * max(1.0, abs(r)) for k in roots):
+            roots.append(r)
+    return np.array(roots, dtype=np.complex128)
 
 
 def fluctuation_matrix(w, kappa, gamma_a, delta, delta_a_prime, g1, g2, g3, g0cs, wm, gm):

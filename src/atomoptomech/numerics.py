@@ -1,10 +1,9 @@
 """Small dense numerical routines sized for this problem.
 
-Complex 6x6 solves, a 2-D multistart Newton, characteristic polynomials,
-Routh-Hurwitz stability, Lyapunov solves via a 36x36 vectorized system and
-the closed-form smallest symplectic eigenvalue.  No general-purpose linear
-algebra backend is used at runtime; the batched LU elimination lives in
-``_kernels``.
+Complex 6x6 solves, characteristic polynomials, Routh-Hurwitz stability,
+Lyapunov solves via a 36x36 vectorized system and the closed-form smallest
+symplectic eigenvalue.  No general-purpose linear algebra backend is used
+at runtime; the batched LU elimination lives in ``_kernels``.
 """
 
 import numpy as np
@@ -61,53 +60,6 @@ def solve_complex(a, b):
         return x[0]
     x[singular] = np.nan
     return x.reshape(b.shape)
-
-
-def _fd_jacobian(f, x, y):
-    hx = 1e-7 * (1.0 + abs(x))
-    hy = 1e-7 * (1.0 + abs(y))
-    fpx = f(x + hx, y)
-    fmx = f(x - hx, y)
-    fpy = f(x, y + hy)
-    fmy = f(x, y - hy)
-    return np.array(
-        [
-            [(fpx[0] - fmx[0]) / (2 * hx), (fpy[0] - fmy[0]) / (2 * hy)],
-            [(fpx[1] - fmx[1]) / (2 * hx), (fpy[1] - fmy[1]) / (2 * hy)],
-        ]
-    )
-
-
-def newton2d_multistart(f, grid, tol=1e-12, max_iter=100, dedup_tol=1e-6):
-    """Newton iterations on a 2-D map from a list of start points.
-
-    The Jacobian is taken by central finite differences, so f only needs
-    to be evaluable.  Starts that fail to converge are discarded silently;
-    the deduplicated list of roots is returned (possibly empty), each with
-    ``max(|f(root)|) <= tol``.
-    """
-    roots = []
-    for x0, y0 in grid:
-        x, y = float(x0), float(y0)
-        for _ in range(max_iter):
-            fx = f(x, y)
-            if not (np.isfinite(fx[0]) and np.isfinite(fx[1])):
-                break
-            if max(abs(fx[0]), abs(fx[1])) <= tol:
-                if not any((x - rx) ** 2 + (y - ry) ** 2 <= dedup_tol**2 for rx, ry in roots):
-                    roots.append((x, y))
-                break
-            jac = _fd_jacobian(f, x, y)
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if det == 0.0 or not np.isfinite(det):
-                break
-            dx = (fx[0] * jac[1, 1] - fx[1] * jac[0, 1]) / det
-            dy = (fx[1] * jac[0, 0] - fx[0] * jac[1, 0]) / det
-            x -= dx
-            y -= dy
-            if not (np.isfinite(x) and np.isfinite(y)):
-                break
-    return roots
 
 
 def char_poly(j):

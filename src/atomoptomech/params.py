@@ -130,7 +130,7 @@ def validate(params: SystemParams) -> list[str]:
         raise ValueError(f"backaction_weight must be 'delta' or 'kappa'")
 
     warnings = []
-    from .steadystate import solve_beta
+    from .steadystate import NoRoot, solve_beta
 
     try:
         roots = solve_beta(params.delta_r, params.gamma_r)
@@ -139,8 +139,8 @@ def validate(params: SystemParams) -> list[str]:
                 "high excitation: steady-state excitation fraction above 0.5, "
                 "first-order bosonization is dubious"
             )
-    except Exception:
-        warnings.append("no steady-state excitation root found on the default grid")
+    except NoRoot:
+        warnings.append("no steady-state excitation root: delta_r or gamma_r out of range")
     if params.gamma_m >= params.omega_m:
         warnings.append("overdamped mechanics: gamma_m >= omega_m")
     if params.n_atoms < 100:

@@ -26,7 +26,7 @@ def _rel_err(a, b):
 
 
 def check_root_residuals(n_random=25, seed=0):
-    """Every root returned by the multistart solve satisfies its equation."""
+    """Every root returned by ``solve_beta``, high branches too, satisfies its equation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     cases = [(1.0, 1.0), (2.5, 2.5), (8.0, 8.0)]

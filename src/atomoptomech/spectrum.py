@@ -148,20 +148,22 @@ def transfer_closed_form(
 ) -> TransferCoefficients:
     """Transfer coefficients from the expanded cofactor expressions."""
     omega = float(omega)
-    m11, m12, m13, m14, m16, dval = transfer_row_closed(
-        omega,
-        params.kappa,
-        params.gamma_a,
-        params.delta,
-        couplings.delta_a_prime,
-        complex(couplings.g1),
-        complex(couplings.g2),
-        complex(couplings.g3),
-        float(couplings.g0),
-        complex(ss.c_s),
-        params.omega_m,
-        params.gamma_m,
-    )
+    # At a pole the quotients are inf/NaN; the check below raises PoleAtOmega.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m11, m12, m13, m14, m16, dval = transfer_row_closed(
+            omega,
+            params.kappa,
+            params.gamma_a,
+            params.delta,
+            couplings.delta_a_prime,
+            complex(couplings.g1),
+            complex(couplings.g2),
+            complex(couplings.g3),
+            float(couplings.g0),
+            complex(ss.c_s),
+            params.omega_m,
+            params.gamma_m,
+        )
     # dval carries six powers of rate; scale the underflow guard accordingly.
     scale = max(params.kappa, params.gamma_a, params.omega_m, abs(omega), 1.0) ** 6
     if abs(dval) < 1e-300 * scale:

@@ -18,7 +18,8 @@ from .params import SystemParams, single_photon_coupling
 
 
 class NoRoot(Exception):
-    """The multistart search returned no roots (pathological parameters)."""
+    """The excitation equation has no root that could be computed: a
+    coefficient of its quartic overflows (pathological parameters)."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +53,15 @@ def excitation_equation(beta: complex, delta_r: float, gamma_r: float) -> comple
 
 
 @lru_cache(maxsize=512)
-def solve_beta(delta_r: float, gamma_r: float, grid_n: int = 21, tol: float = 1e-12):
+def solve_beta(delta_r: float, gamma_r: float):
     """All distinct roots of the excitation equation, sorted by excitation.
 
-    Multistart Newton over a grid_n x grid_n lattice on [-2, 2]^2 for
-    (Re beta, Im beta); the map mixes beta and its conjugate, so the two
-    real components are treated as independent unknowns.  Results are
+    Every branch is returned, however high its excitation (the equation
+    reduces to one real quartic, see ``_kernels.beta_roots``).  Results are
     cached: the roots depend only on the dimensionless pair, which stays
     fixed across detuning and coupling sweeps.
     """
-    packed, count = beta_roots(float(delta_r), float(gamma_r), int(grid_n), float(tol), 100, 1e-6)
-    roots = [complex(packed[k]) for k in range(count)]
+    roots = [complex(b) for b in beta_roots(float(delta_r), float(gamma_r))]
     if not roots:
         raise NoRoot(
             f"no roots of the excitation equation for delta_r={delta_r}, gamma_r={gamma_r}"

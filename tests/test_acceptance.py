@@ -32,14 +32,17 @@ def _refined_min(params, couplings, ss, grid, rounds=6, width=2, sub=81):
     """Minimum of the spectrum over the grid, with local refinement around
     the coarse argmin (the squeezing dips are much narrower than the panel
     grid spacing)."""
-    vals = np.array([am.output_spectrum(params, couplings, ss, w).s_out for w in grid])
+    vals = am.output_spectrum(params, couplings, ss, grid).s_out
+    # a pole comes back as NaN from an array call; it must still fail here
+    assert np.all(np.isfinite(vals))
     i = int(np.argmin(vals))
     lo = grid[max(i - width, 0)]
     hi = grid[min(i + width, len(grid) - 1)]
     best = float(vals[i])
     for _ in range(rounds):
         xs = np.linspace(lo, hi, sub)
-        sv = np.array([am.output_spectrum(params, couplings, ss, w).s_out for w in xs])
+        sv = am.output_spectrum(params, couplings, ss, xs).s_out
+        assert np.all(np.isfinite(sv))
         j = int(np.argmin(sv))
         best = min(best, float(sv[j]))
         lo = xs[max(j - 1, 0)]

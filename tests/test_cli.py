@@ -104,6 +104,17 @@ class TestSteadyCommand:
         assert rec["p_s"] == 0.0
         assert rec["residual"] <= 1e-10
 
+    def test_case_2p5_reports_both_branches(self, capsys):
+        code, out, err = run_cli(capsys, "steady", "--case", "2.5", "--json")
+        assert code == 0
+        assert json.loads(out)["branch_count"] == 2
+
+    def test_no_root_is_a_numeric_failure(self, capsys):
+        code, out, err = run_cli(capsys, "steady", "--delta-r", "1e200", "--json")
+        assert code == cli.EXIT_NUMERIC
+        assert "numeric failure" in err
+        assert "Traceback" not in err + out
+
     def test_text_output(self, capsys):
         code, out, err = run_cli(capsys, "steady", "--case", "8")
         assert code == 0

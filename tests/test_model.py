@@ -92,6 +92,11 @@ class TestValidate:
         w = am.validate(default_params.replace(delta_r=0.1, gamma_r=0.1))
         assert any("high excitation" in msg for msg in w)
 
+    def test_no_root_warning(self, default_params):
+        # delta_r^3 overflows in the quartic's coefficients, so no root
+        w = am.validate(default_params.replace(delta_r=1e200))
+        assert any("no steady-state excitation root" in msg for msg in w)
+
     @pytest.mark.parametrize(
         "field,value",
         [

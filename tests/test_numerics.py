@@ -3,7 +3,7 @@ import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
 
 import atomoptomech as am
-from atomoptomech._kernels import lu_solve
+from atomoptomech._kernels import _quartic_roots, lu_solve
 from atomoptomech.numerics import PIVOT_TOL
 
 
@@ -74,60 +74,25 @@ class TestSolveComplex:
             np.testing.assert_allclose(x, x_true, rtol=1e-9)
 
 
-class TestNewton2d:
-    def test_linear(self):
-        roots = am.newton2d_multistart(lambda x, y: (x - 1.0, y + 2.0), [(0.0, 0.0), (3.0, 3.0)])
-        assert len(roots) == 1
-        np.testing.assert_allclose(roots[0], (1.0, -2.0), atol=1e-10)
+class TestQuarticRoots:
+    def test_matches_companion_oracle(self):
+        # the Aberth iteration against NumPy's companion-matrix roots, over
+        # random monic quartics whose coefficients span four decades
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a = np.concatenate(([1.0], rng.normal(size=4) * 10.0 ** rng.uniform(-2, 2, size=4)))
+            got = _quartic_roots(a)
+            assert got.shape == (4,)
+            for want in np.roots(a):
+                assert np.min(np.abs(got - want)) <= 1e-9 * max(1.0, abs(want)), (a, want)
 
-    def test_symmetric_pair(self):
-        grid = [(x, y) for x in np.linspace(-2, 2, 9) for y in np.linspace(-2, 2, 9)]
-        roots = sorted(am.newton2d_multistart(lambda x, y: (x * x - 1.0, y), grid))
-        assert len(roots) == 2
-        np.testing.assert_allclose(roots[0], (-1.0, 0.0), atol=1e-8)
-        np.testing.assert_allclose(roots[1], (1.0, 0.0), atol=1e-8)
-
-    def test_no_roots_empty(self):
-        roots = am.newton2d_multistart(lambda x, y: (x * x + 1.0, y * y + 1.0), [(0.0, 0.0)])
-        assert roots == []
-
-    def test_matches_specialized_beta_path(self):
-        # generic multistart against the specialized root scan
-        for dr, gr in ((1.0, 1.0), (2.5, 2.5), (8.0, 8.0), (3.3, 0.7)):
-            def f(x, y, dr=dr, gr=gr):
-                v = am.excitation_equation(x + 1j * y, dr, gr)
-                return (v.real, v.imag)
-
-            pts = np.linspace(-2, 2, 21)
-            grid = [(x, y) for x in pts for y in pts]
-            generic = [complex(x, y) for x, y in am.newton2d_multistart(f, grid)]
-            fast = sorted(am.solve_beta(dr, gr), key=lambda z: (z.real, z.imag))
-            generic = sorted(generic, key=lambda z: (z.real, z.imag))
-            assert len(generic) == len(fast)
-            for a, b in zip(generic, fast):
-                assert abs(a - b) < 1e-8
-
-    def test_lockstep_scan_matches_generic_multistart(self):
-        # the all-starts-at-once root scan against the one-start-at-a-time
-        # generic Newton on the same lattice, over a wide parameter range
-        rng = np.random.default_rng(11)
-        pairs = [tuple(rng.uniform(0.2, 10.0, size=2)) for _ in range(4)] + [(0.1, 0.1)]
-        for grid_n in (21, 41):
-            pts = np.linspace(-2, 2, grid_n)
-            grid = [(x, y) for x in pts for y in pts]
-            for dr, gr in pairs:
-                def f(x, y, dr=dr, gr=gr):
-                    v = am.excitation_equation(x + 1j * y, dr, gr)
-                    return (v.real, v.imag)
-
-                generic = sorted(
-                    (complex(x, y) for x, y in am.newton2d_multistart(f, grid)),
-                    key=lambda z: (z.real, z.imag),
-                )
-                fast = sorted(am.solve_beta(dr, gr, grid_n), key=lambda z: (z.real, z.imag))
-                assert len(fast) == len(generic), (grid_n, dr, gr)
-                for a, b in zip(generic, fast):
-                    assert abs(a - b) <= 1e-12, (grid_n, dr, gr, a, b)
+    def test_extreme_scale_does_not_overflow(self):
+        # roots up to 3e100, whose fourth powers overflow, and one at 0.05,
+        # which sits in the constant coefficient
+        want = [3e100, 2e100, 1e100, 0.05]
+        got = _quartic_roots(np.poly(want))
+        for w in want:
+            assert np.min(np.abs(got - w)) <= 1e-9 * w
 
 
 class TestCharPoly:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,8 @@ from atomoptomech.steadystate import SteadyState
 def _closed_form_s(p, cpl, ss, w):
     """S at w from the closed-form transfer coefficients at +-w; NaN at a pole."""
     try:
-        with np.errstate(all="ignore"):
-            tp = am.transfer_closed_form(p, cpl, ss, w)
-            tm = am.transfer_closed_form(p, cpl, ss, -w)
+        tp = am.transfer_closed_form(p, cpl, ss, w)
+        tm = am.transfer_closed_form(p, cpl, ss, -w)
     except am.PoleAtOmega:
         return np.nan
     th = float(thermal_factor(p, w))
@@ -132,6 +133,18 @@ class TestTransferRoutes:
         cpl = am.derive_couplings(p, ss)
         with pytest.raises(am.PoleAtOmega):
             am.transfer_direct(p, cpl, ss, 0.9 * default_params.omega_m)
+
+    def test_closed_form_pole_raises_without_warnings(self, default_params):
+        # the closed-form route divides by its vanishing determinant at the
+        # same pole; that must surface as PoleAtOmega alone, with no NumPy
+        # RuntimeWarning on the way
+        p = default_params.replace(kappa=0.0, coupling_G=0.0, delta=0.9 * default_params.omega_m)
+        ss = am.fixed_point(p)
+        cpl = am.derive_couplings(p, ss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(am.PoleAtOmega):
+                am.transfer_closed_form(p, cpl, ss, 0.9 * default_params.omega_m)
 
 
 class TestOutputSpectrum:

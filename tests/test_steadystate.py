@@ -34,13 +34,53 @@ class TestSolveBeta:
         excs = [abs(b) ** 2 for b in roots]
         assert excs == sorted(excs)
 
-    def test_grid_refinement_invariance(self):
-        for case in (1.0, 2.5, 8.0):
-            coarse = am.solve_beta(case, case, grid_n=21)
-            fine = am.solve_beta(case, case, grid_n=41)
-            assert len(coarse) == len(fine)
-            for a in coarse:
-                assert min(abs(a - b) for b in fine) < 1e-8
+    def test_every_root_against_scipy_lattice(self):
+        # completeness: scipy.optimize.root (finite-difference Jacobian) from
+        # a dense lattice of starts on [-R, R]^2, R = 4 (1 + |delta_r| +
+        # gamma_r), which covers every branch; solve_beta must return
+        # exactly the distinct roots it converges to
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(17)
+        pairs = [(rng.uniform(-10.0, 10.0), rng.uniform(0.0, 10.0)) for _ in range(6)]
+        pairs += [(0.0, 0.3), (1.0, 0.0), (1.0, 1e-9), (2.5, 2.5)]
+        for dr, gr in pairs:
+            def f(v, dr=dr, gr=gr):
+                r = am.excitation_equation(complex(v[0], v[1]), dr, gr)
+                return [r.real, r.imag]
+
+            big = 4.0 * (1.0 + abs(dr) + gr)
+            want = []
+            for x0 in np.linspace(-big, big, 16):
+                for y0 in np.linspace(-big, big, 16):
+                    b = complex(*optimize.root(f, [x0, y0], tol=1e-14).x)
+                    converged = max(map(abs, f([b.real, b.imag]))) <= 1e-10 * max(1.0, abs(b) ** 2)
+                    if converged and all(abs(b - c) > 1e-6 for c in want):
+                        want.append(b)
+            got = am.solve_beta(dr, gr)
+            assert len(got) == len(want), (dr, gr, got, want)
+            for b in want:
+                assert min(abs(b - c) for c in got) <= 1e-8, (dr, gr, b, got)
+
+    def test_case_2p5_high_excitation_branch(self):
+        # a root far outside [-2, 2]^2, where a bounded start box misses it
+        roots = am.solve_beta(2.5, 2.5)
+        assert len(roots) == 2
+        assert abs(roots[1] - (1.7028 + 5.3400j)) <= 1e-3
+
+    def test_both_branches_at_large_detuning(self):
+        # for delta_r >> 1 the roots are Re beta ~ -1/delta_r and
+        # ~ 2 delta_r / 3; the second has |beta|^2 ~ delta_r^2, so its
+        # residual and its distance from a duplicate scale with it, and its
+        # fourth power overflows from delta_r ~ 1e77
+        for dr in (1e5, 1e50, 1e100):
+            roots = am.solve_beta(dr, 1.0)
+            assert len(roots) == 2
+            assert roots[0].real == pytest.approx(-1.0 / dr, rel=1e-9)
+            assert roots[1].real == pytest.approx(2.0 * dr / 3.0, rel=1e-9)
+
+    def test_overflowing_coefficients_raise(self):
+        with pytest.raises(am.NoRoot):
+            am.solve_beta(1e200, 1.0)
 
 
 class TestFixedPoint:
