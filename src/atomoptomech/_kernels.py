@@ -2,13 +2,13 @@
 
 The pivoted LU, :func:`lu_solve`, works on a stack of systems: each of its
 pivot steps is one set of NumPy operations across the rows and the batch,
-so a whole frequency grid of 6x6 spectrum systems is solved at once and a
-single system is a batch of one.  The fluctuation matrix and the
-closed-form transfer row are elementwise in the frequency.  The
-steady-state roots, :func:`beta_roots`, come from one real quartic solved
-by Aberth-Ehrlich iteration and polished by Newton steps on the 2-D
-equation.  The characteristic polynomial and the Routh array stay small
-per-matrix loops.
+so a frequency grid of 6x6 spectrum systems, or a detuning grid's 36x36
+Lyapunov systems, is solved at once; a single system is a batch of one.
+The characteristic polynomial, the Routh array and the Kronecker sums take
+stacks too, and the fluctuation matrix and the closed-form transfer row
+are elementwise in the frequency.  The steady-state roots,
+:func:`beta_roots`, come from one real quartic solved by Aberth-Ehrlich
+iteration and polished by Newton steps on the 2-D equation.
 """
 
 import numpy as np
@@ -50,88 +50,85 @@ def lu_solve(a, b):
 
 
 def char_poly_coeffs(j):
-    """Monic characteristic polynomial by the Faddeev-LeVerrier recursion."""
-    n = j.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = 1.0
+    """Monic characteristic polynomials of a stack (..., n, n) of matrices
+    by the Faddeev-LeVerrier recursion; the result is (..., n + 1)."""
+    n = j.shape[-1]
+    diag = np.arange(n)
+    coeffs = np.zeros(j.shape[:-2] + (n + 1,))
+    coeffs[..., 0] = 1.0
+    m = np.zeros(j.shape)
+    m[..., diag, diag] = 1.0
     for k in range(1, n + 1):
-        m = np.dot(j, m)
-        tr = 0.0
-        for i in range(n):
-            tr += m[i, i]
-        c = -tr / k
-        coeffs[k] = c
-        for i in range(n):
-            m[i, i] += c
+        m = j @ m
+        c = -m[..., diag, diag].sum(axis=-1) / k
+        coeffs[..., k] = c
+        m[..., diag, diag] += c[..., None]
     return coeffs
 
 
 def routh_flags(coeffs):
-    """Routh array sign test for a monic polynomial.
+    """Routh array sign test for a stack (batch, n + 1) of monic polynomials.
 
-    Returns (stable, marginal) as ints.  A vanishing first-column entry
-    (exactly zero, or at rounding level relative to the array scale) is
-    replaced by eps = 1e-30 and flags the result marginal.
+    Returns boolean (stable, marginal) arrays, one entry per polynomial.  A
+    vanishing first-column entry (exactly zero, or at rounding level
+    relative to the array scale) is replaced by eps = 1e-30 and flags the
+    polynomial marginal; once a polynomial is flagged, its scale stops
+    growing.  A NaN coefficient makes the polynomial unstable.
     """
-    n = coeffs.shape[0] - 1
-    rows = n + 1
-    width = (n + 2) // 2
-    table = np.zeros((rows, width + 1))
-    for i in range(0, n + 1, 2):
-        table[0, i // 2] = coeffs[i]
-    for i in range(1, n + 1, 2):
-        table[1, (i - 1) // 2] = coeffs[i]
-    scale = 0.0
-    for r in range(2):
-        for c in range(width):
-            m = abs(table[r, c])
-            if m > scale:
-                scale = m
-    marginal = 0
+    batch, rows = coeffs.shape
+    width = (rows + 1) // 2
+    table = np.zeros((batch, rows, width + 1))
+    table[:, 0, :width] = coeffs[:, 0::2]
+    table[:, 1, : rows // 2] = coeffs[:, 1::2]
+    scale = np.abs(table[:, :2, :width]).max(axis=(1, 2))
+    marginal = np.zeros(batch, dtype=bool)
     eps = 1e-30
     for r in range(2, rows):
-        if abs(table[r - 1, 0]) <= 1e-14 * scale:
-            table[r - 1, 0] = eps
-            marginal = 1
-        for c in range(width):
-            table[r, c] = (
-                table[r - 1, 0] * table[r - 2, c + 1]
-                - table[r - 2, 0] * table[r - 1, c + 1]
-            ) / table[r - 1, 0]
-            m = abs(table[r, c])
-            if m > scale and marginal == 0:
-                scale = m
-    stable = 1
-    for r in range(rows):
-        if table[r, 0] == 0.0:
-            table[r, 0] = eps
-            marginal = 1
-        if table[0, 0] * table[r, 0] < 0.0:
-            stable = 0
+        small = np.abs(table[:, r - 1, 0]) <= 1e-14 * scale
+        table[small, r - 1, 0] = eps
+        marginal |= small
+        pivot = table[:, r - 1, 0, None]
+        table[:, r, :width] = (
+            pivot * table[:, r - 2, 1:] - table[:, r - 2, 0, None] * table[:, r - 1, 1:]
+        ) / pivot
+        grown = np.maximum(scale, np.abs(table[:, r, :width]).max(axis=1))
+        scale = np.where(marginal, scale, grown)
+    first = table[:, :, 0]
+    zero = first == 0.0
+    marginal |= zero.any(axis=1)
+    first = np.where(zero, eps, first)
+    stable = np.all(first[:, :1] * first > 0.0, axis=1)
     return stable, marginal
 
 
 def lyapunov_system(j, d):
-    """Vectorize j v + v j^T = -d into an n^2 x n^2 column-stacked linear system."""
-    eye = np.eye(j.shape[0])
-    return np.kron(eye, j) + np.kron(j, eye), -d.flatten("F")
+    """Vectorize j v + v j^T = -d into an n^2 x n^2 column-stacked linear
+    system, for one n x n pair or a stack (batch, n, n) of them."""
+    eye = np.eye(j.shape[-1])
+    return np.kron(eye, j) + np.kron(j, eye), -np.swapaxes(d, -1, -2).reshape(j.shape[:-2] + (-1,))
 
 
 def _quartic_roots(a):
     """The four complex roots of the monic quartic with real coefficients
-    ``a`` (highest power first), by Aberth-Ehrlich iteration."""
+    ``a`` (highest power first), by Aberth-Ehrlich iteration.
+
+    Exactly zero trailing coefficients are taken off first as exact roots
+    at 0: the iteration converges only linearly to a multiple root, and its
+    relative stopping test never fires at 0.
+    """
+    a = np.trim_zeros(np.array(a, dtype=float), "b")
+    n = len(a) - 1
+    zeros = np.zeros(4 - n, dtype=np.complex128)
+    if n == 0:
+        return zeros
     # The iteration runs on the roots over Fujiwara's bound on them, with
     # a[k] divided by it k times, so that no power can overflow.
-    radius = 2.0 * max(abs(a[k]) ** (1.0 / k) for k in range(1, 5))
-    a = a.astype(float)
-    for k in range(1, 5):
+    radius = 2.0 * max(abs(a[k]) ** (1.0 / k) for k in range(1, n + 1))
+    for k in range(1, n + 1):
         a[k:] /= radius
-    da = a[:-1] * np.arange(4.0, 0.0, -1.0)
+    da = a[:-1] * np.arange(float(n), 0.0, -1.0)
     # Starts off the real axis and off conjugate symmetry.
-    z = np.exp(1j * (0.5 * np.pi * np.arange(4) + 0.4))
+    z = np.exp(1j * (2.0 / n * np.pi * np.arange(n) + 0.4))
     for _ in range(100):
         ratio = np.polyval(a, z) / np.polyval(da, z)
         diff = z[:, None] - z
@@ -140,7 +137,7 @@ def _quartic_roots(a):
         z = z - w
         if np.all(np.abs(w) <= 1e-14 * np.abs(z)) or not np.isfinite(z).all():
             break
-    return radius * z
+    return np.concatenate((radius * z, zeros))
 
 
 def beta_roots(delta_r, gamma_r):

@@ -468,7 +468,7 @@ def cmd_reproduce(args) -> int:
                 print(f"wrote {f}")
         except Exception as exc:  # noqa: BLE001 - panel isolation is the contract
             failures += 1
-            print(f"error: {name} failed: {exc}", file=sys.stderr)
+            print(f"error: {name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_NUMERIC if failures else EXIT_OK
 
 

@@ -17,33 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    InvalidCovariance,
-    UnstableDrift,
-    char_poly,
-    lyapunov_solve,
-    routh_hurwitz_stable,
-    symplectic_nu,
-)
+from .numerics import char_poly, lyapunov_solve, routh_hurwitz_stable, symplectic_nu
 from .params import DerivedCouplings, SystemParams, derive_couplings
 from .steadystate import NoRoot, SteadyState, fixed_point
 
 
 @dataclass(frozen=True)
 class DriftSystem:
-    """Real drift matrix, diagonal diffusion matrix and the atomic-block
-    shorthands.  Basis order: (x, p, X, Y, U, V)."""
+    """Real drift matrix and diagonal diffusion matrix.  Basis order:
+    (x, p, X, Y, U, V)."""
 
     j: np.ndarray
     d: np.ndarray
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    t5: float
-    t6: float
-    t7: float
-    t8: float
 
 
 @dataclass(frozen=True)
@@ -62,22 +47,14 @@ def build_drift(
     """Drift and diffusion matrices in the quadrature basis."""
     c = couplings
     g2 = c.g2.real  # depletion-corrected coupling is real by construction
-    t1 = g2 + c.g3_nu
-    t2 = c.g3_nu - g2
-    t3 = g2 + c.g3_nu
-    t4 = c.g_mu - params.gamma_a
-    t5 = c.g_nu + c.delta_a_prime
-    t6 = c.g3_nu - g2
-    t7 = c.g_nu - c.delta_a_prime
-    t8 = -params.gamma_a - c.g_mu
     j = np.array(
         [
             [0.0, params.omega_m, 0.0, 0.0, 0.0, 0.0],
             [-params.omega_m, -params.gamma_m, c.g_px, c.g_py, 0.0, 0.0],
-            [-c.g_py, 0.0, -params.kappa, params.delta, c.g3_mu, t1],
-            [c.g_px, 0.0, -params.delta, -params.kappa, t2, -c.g3_mu],
-            [0.0, 0.0, c.g3_mu, t3, t4, t5],
-            [0.0, 0.0, t6, -c.g3_mu, t7, t8],
+            [-c.g_py, 0.0, -params.kappa, params.delta, c.g3_mu, g2 + c.g3_nu],
+            [c.g_px, 0.0, -params.delta, -params.kappa, c.g3_nu - g2, -c.g3_mu],
+            [0.0, 0.0, c.g3_mu, g2 + c.g3_nu, c.g_mu - params.gamma_a, c.g_nu + c.delta_a_prime],
+            [0.0, 0.0, c.g3_nu - g2, -c.g3_mu, c.g_nu - c.delta_a_prime, -params.gamma_a - c.g_mu],
         ]
     )
     d = np.diag(
@@ -90,7 +67,7 @@ def build_drift(
             params.gamma_a,
         ]
     )
-    return DriftSystem(j=j, d=d, t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7, t8=t8)
+    return DriftSystem(j=j, d=d)
 
 
 def is_stable(ds: DriftSystem) -> bool:
@@ -102,14 +79,19 @@ def is_stable(ds: DriftSystem) -> bool:
 
 
 def steady_covariance(ds: DriftSystem) -> np.ndarray:
-    """Stationary covariance from the Lyapunov equation; UnstableDrift if the
-    drift is not Hurwitz."""
-    if not is_stable(ds):
-        raise UnstableDrift("drift matrix is not Hurwitz stable")
-    scale = np.max(np.abs(ds.j))
+    """Stationary covariance from the Lyapunov equation, for one drift
+    (raises if it is not Hurwitz) or a stack of them (NaN for those)."""
+    scale = np.max(np.abs(ds.j), axis=(-2, -1), keepdims=True)
     # Solve in scaled time so the 36x36 system is well conditioned; the
     # covariance is invariant under (j, d) -> (j/s, d/s).
     return lyapunov_solve(ds.j / scale, ds.d / scale)
+
+
+def _result(delta_over_omega_m: float, nu) -> EntanglementResult:
+    if not math.isfinite(nu):
+        return EntanglementResult(delta_over_omega_m, stable=False, e_n=None, nu=None)
+    e_n = max(0.0, -math.log(2.0 * nu))
+    return EntanglementResult(delta_over_omega_m, stable=True, e_n=e_n, nu=nu)
 
 
 def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> EntanglementResult:
@@ -119,31 +101,34 @@ def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> Entan
     acts as the momentum sign flip of the mirror mode, which the symplectic
     eigenvalue formula absorbs as the sign of the cross-block determinant.
     """
-    v = np.asarray(v, dtype=float)
-    reduced = v[:4, :4]
-    nu = symplectic_nu(reduced)
-    e_n = max(0.0, -math.log(2.0 * nu))
-    return EntanglementResult(
-        delta_over_omega_m=delta_over_omega_m, stable=True, e_n=e_n, nu=nu
-    )
+    return _result(delta_over_omega_m, symplectic_nu(np.asarray(v, dtype=float)[:4, :4]))
+
+
+def _entanglement_rows(points: list[SystemParams]) -> list[EntanglementResult]:
+    """Stability verdict and log-negativity at each parameter set's detuning.
+
+    The drifts are built point by point and then solved as one stack.  A
+    point without a steady state never reaches the Routh test: it is
+    unstable, like a point whose covariance comes back NaN.
+    """
+    solved, drifts = [], []
+    for k, p in enumerate(points):
+        try:
+            ss = fixed_point(p)
+        except NoRoot:
+            continue
+        solved.append(k)
+        drifts.append(build_drift(p, derive_couplings(p, ss), ss))
+    nu = np.full(len(points), np.nan)
+    if solved:
+        stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
+        nu[solved] = symplectic_nu(steady_covariance(stack)[:, :4, :4])
+    return [_result(p.delta / p.omega_m, x) for p, x in zip(points, nu)]
 
 
 def entanglement_at(params: SystemParams) -> EntanglementResult:
     """Stability check plus log-negativity at the parameters' detuning."""
-    rel = params.delta / params.omega_m
-    try:
-        ss = fixed_point(params)
-    except NoRoot:
-        return EntanglementResult(delta_over_omega_m=rel, stable=False, e_n=None, nu=None)
-    cpl = derive_couplings(params, ss)
-    ds = build_drift(params, cpl, ss)
-    if not is_stable(ds):
-        return EntanglementResult(delta_over_omega_m=rel, stable=False, e_n=None, nu=None)
-    try:
-        v = steady_covariance(ds)
-        return log_negativity(v, delta_over_omega_m=rel)
-    except (UnstableDrift, InvalidCovariance):
-        return EntanglementResult(delta_over_omega_m=rel, stable=False, e_n=None, nu=None)
+    return _entanglement_rows([params])[0]
 
 
 def detuning_sweep(
@@ -152,12 +137,11 @@ def detuning_sweep(
     g: float,
     delta_grid,
 ) -> list[EntanglementResult]:
-    """Log-negativity over a grid of effective detunings, one point at a
-    time (each detuning needs its own stability verdict).
+    """Log-negativity over a grid of effective detunings, as one stack.
 
     ``g`` is in units of kappa, ``delta_grid`` in rad/s.  Unstable points
     are data (stable=False rows), not failures.
     """
     delta_r, gamma_r = case
     base = params.replace(delta_r=delta_r, gamma_r=gamma_r, coupling_G=g * params.kappa)
-    return [entanglement_at(base.replace(delta=float(delta))) for delta in delta_grid]
+    return _entanglement_rows([base.replace(delta=float(delta)) for delta in delta_grid])

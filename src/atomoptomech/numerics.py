@@ -2,8 +2,9 @@
 
 Complex 6x6 solves, characteristic polynomials, Routh-Hurwitz stability,
 Lyapunov solves via a 36x36 vectorized system and the closed-form smallest
-symplectic eigenvalue.  No general-purpose linear algebra backend is used
-at runtime; the batched LU elimination lives in ``_kernels``.
+symplectic eigenvalue.  The solves and the eigenvalue take one system,
+which raises on failure, or a stack, which gives NaN for a failed system.
+No general-purpose linear algebra backend is used at runtime.
 """
 
 import numpy as np
@@ -32,6 +33,8 @@ class InvalidCovariance(Exception):
 
 
 PIVOT_TOL = 1e-14
+# Lyapunov systems per lu_solve call; a whole sweep at once adds ~10 MiB.
+LYAPUNOV_CHUNK = 16
 
 
 def solve_complex(a, b):
@@ -63,10 +66,11 @@ def solve_complex(a, b):
 
 
 def char_poly(j):
-    """Coefficients of the monic characteristic polynomial of a real matrix."""
+    """Coefficients of the monic characteristic polynomial of a real matrix,
+    or of each matrix of a stack (..., n, n)."""
     j = np.array(j, dtype=np.float64)
-    if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise ValueError("char_poly expects a square matrix")
+    if j.ndim < 2 or j.shape[-1] != j.shape[-2]:
+        raise ValueError("char_poly expects square matrices")
     return char_poly_coeffs(j)
 
 
@@ -80,46 +84,55 @@ def routh_hurwitz_flags(coeffs):
     """(stable, marginal) pair; marginal means a first-column entry vanished
     and was replaced by the eps perturbation, so the verdict sits on a
     stability boundary."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    stable, marginal = routh_flags(coeffs)
-    return bool(stable), bool(marginal)
+    stable, marginal = routh_flags(np.asarray(coeffs, dtype=np.float64)[None])
+    return bool(stable[0]), bool(marginal[0])
 
 
 def lyapunov_solve(j, d):
     """Solve ``j v + v j^T = -d`` for the symmetric steady covariance.
 
-    The 6x6 problem is vectorized into a 36x36 real solve; the result is
-    re-symmetrized.  Requires a stable drift (Routh-Hurwitz), else
-    UnstableDrift is raised.
+    ``j`` and ``d`` are n x n, or stacks (batch, n, n).  Each system gets
+    one Routh-Hurwitz verdict; the stable ones are vectorized into n^2 x n^2
+    real systems and solved LYAPUNOV_CHUNK at a time, and the result is
+    re-symmetrized.  A single system raises UnstableDrift for a drift that
+    is not Hurwitz stable and SingularSystem for a vanishing pivot, while in
+    a stack those systems come back as NaN.
     """
     j = np.array(j, dtype=np.float64)
     d = np.array(d, dtype=np.float64)
-    if not routh_hurwitz_stable(char_poly(j)):
-        raise UnstableDrift("drift matrix is not Hurwitz stable")
-    k, rhs = lyapunov_system(j, d)
-    x, min_pivot, anorm = lu_solve(k[None], rhs[None])
-    if min_pivot[0] <= PIVOT_TOL * anorm[0]:
-        raise SingularSystem("vectorized Lyapunov system has a vanishing pivot")
-    n = j.shape[0]
-    v = x[0].reshape((n, n), order="F")
-    return (v + v.T) / 2.0
+    n = j.shape[-1]
+    js, ds = j.reshape(-1, n, n), d.reshape(-1, n, n)
+    stable, _ = routh_flags(char_poly_coeffs(js))
+    v = np.full(js.shape, np.nan)
+    todo = np.flatnonzero(stable)
+    for start in range(0, len(todo), LYAPUNOV_CHUNK):
+        rows = todo[start : start + LYAPUNOV_CHUNK]
+        x, min_pivot, anorm = lu_solve(*lyapunov_system(js[rows], ds[rows]))
+        x[min_pivot <= PIVOT_TOL * anorm] = np.nan
+        v[rows] = np.swapaxes(x.reshape(-1, n, n), 1, 2)
+    if j.ndim == 2:
+        if not stable[0]:
+            raise UnstableDrift("drift matrix is not Hurwitz stable")
+        if np.isnan(v).any():
+            raise SingularSystem("vectorized Lyapunov system has a vanishing pivot")
+    return ((v + np.swapaxes(v, 1, 2)) / 2.0).reshape(j.shape)
 
 
 def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _det4(m):
     out = 0.0
     # Laplace expansion along the first row; fine at this size.
     for c in range(4):
-        sub = np.delete(np.delete(m, 0, axis=0), c, axis=1)
+        s = m[..., 1:, [k for k in range(4) if k != c]]
         det3 = (
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
+            s[..., 0, 0] * (s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1])
+            - s[..., 0, 1] * (s[..., 1, 0] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 0])
+            + s[..., 0, 2] * (s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0])
         )
-        out += (-1) ** c * m[0, c] * det3
+        out += (-1) ** c * m[..., 0, c] * det3
     return out
 
 
@@ -129,24 +142,24 @@ def symplectic_nu(v4):
 
     The sign flip of the momentum of one mode under partial transposition
     enters as the minus sign on the cross-block determinant, so the input
-    is the plain (untransposed) 4x4 covariance.
+    is the plain (untransposed) 4x4 covariance, or a stack (..., 4, 4) of
+    them.  A single covariance that violates the symplectic constraints
+    raises InvalidCovariance; in a stack its entry comes back as NaN.
     """
     v4 = np.array(v4, dtype=np.float64)
-    if v4.shape != (4, 4):
-        raise ValueError("symplectic_nu expects a 4x4 matrix")
-    a = _det2(v4[:2, :2])
-    b = _det2(v4[2:, 2:])
-    c = _det2(v4[:2, 2:])
-    detv = _det4(v4)
+    if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
+        raise ValueError("symplectic_nu expects 4x4 matrices")
+    a = _det2(v4[..., :2, :2])
+    b = _det2(v4[..., 2:, 2:])
+    c = _det2(v4[..., :2, 2:])
     sigma = a + b - 2.0 * c
-    rad = sigma * sigma - 4.0 * detv
+    rad = sigma * sigma - 4.0 * _det4(v4)
+    inner = sigma - np.sqrt(np.maximum(rad, 0.0))
+    nu = np.sqrt(np.maximum(inner, 0.0) / 2.0)
+    if v4.ndim > 2:
+        return np.where((rad < -1e-9) | (inner < -1e-12), np.nan, nu)
     if rad < -1e-9:
         raise InvalidCovariance(f"discriminant {rad:.3e} below tolerance")
-    if rad < 0.0:
-        rad = 0.0
-    inner = sigma - np.sqrt(rad)
-    if inner < 0.0:
-        if inner < -1e-12:
-            raise InvalidCovariance(f"negative radicand {inner:.3e}")
-        inner = 0.0
-    return np.sqrt(inner / 2.0)
+    if inner < -1e-12:
+        raise InvalidCovariance(f"negative radicand {inner:.3e}")
+    return nu

@@ -185,6 +185,15 @@ class TestEntangleCommand:
         row = lines[1].split(",")
         assert row[1] in ("true", "false")
 
+    def test_no_root_rows_are_unstable(self, capsys):
+        # no steady state at this delta_r: every row is data, not a failure
+        code, out, err = run_cli(capsys, "entangle", "--delta-r", "1e200", "--points", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert all(line.split(",")[1:] == ["false", "", ""] for line in lines[1:])
+        assert "Traceback" not in out + err
+
 
 class TestReproduceCommand:
     def test_fig2_panel_set(self, capsys, tmp_path):
@@ -218,6 +227,20 @@ class TestReproduceCommand:
             lines = (tmp_path / f"fig4{tag}.csv").read_text().splitlines()
             assert lines[0].startswith("delta_over_omega_m,e_n_n1e")
             assert len(lines) == 8
+
+    def test_failed_panel_is_isolated_and_named(self, capsys, tmp_path, monkeypatch):
+        def broken(params, outdir, points):
+            raise KeyError("no such panel")
+
+        monkeypatch.setattr(cli, "_reproduce_fig3", broken)
+        code, _, err = run_cli(
+            capsys, "reproduce", "all", "--outdir", str(tmp_path), "--points", "5",
+        )
+        assert code == cli.EXIT_NUMERIC
+        assert "error: fig3 failed: KeyError: 'no such panel'" in err
+        for name in ("fig2a", "fig2b", "fig2c", "fig4a", "fig4b"):
+            assert (tmp_path / f"{name}.csv").exists() and (tmp_path / f"{name}.svg").exists()
+        assert not (tmp_path / "fig3a.csv").exists()
 
 
 class TestVerifyCommand:

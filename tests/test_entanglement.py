@@ -220,6 +220,17 @@ class TestDetuningSweep:
             else:
                 assert r.e_n is None and r.nu is None
 
+    def test_matches_pointwise_entanglement_at(self, default_params):
+        # the stacked sweep against batches of one, on a grid whose low
+        # detunings are unstable
+        p = default_params
+        grid = np.linspace(0.0, 0.3, 13) * p.omega_m
+        rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid)
+        base = p.replace(delta_r=1.0, gamma_r=1.0, coupling_G=25.0 * p.kappa)
+        assert rows == [am.entanglement_at(base.replace(delta=float(d))) for d in grid]
+        stable = [r.stable for r in rows]
+        assert 0 < sum(stable) < len(rows)
+
     def test_entanglement_dies_at_large_detuning(self, default_params):
         p = default_params
         rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, [8.0 * p.omega_m])

@@ -3,8 +3,8 @@ import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
 
 import atomoptomech as am
-from atomoptomech._kernels import _quartic_roots, lu_solve
-from atomoptomech.numerics import PIVOT_TOL
+from atomoptomech._kernels import _quartic_roots, lu_solve, routh_flags
+from atomoptomech.numerics import LYAPUNOV_CHUNK, PIVOT_TOL
 
 
 class TestSolveComplex:
@@ -94,6 +94,16 @@ class TestQuarticRoots:
         for w in want:
             assert np.min(np.abs(got - w)) <= 1e-9 * w
 
+    @pytest.mark.parametrize("c", [-0.5, 0.7])
+    def test_zero_trailing_coefficients_are_exact_roots(self, c):
+        # a double root at 0, as at delta_r = 0: the iteration alone would
+        # stop at about 1e-48 after its whole step budget
+        got = _quartic_roots([1.0, 0.0, c, 0.0, 0.0])
+        assert np.count_nonzero(got == 0.0) == 2
+        want = np.sqrt(complex(-c))
+        for w in (want, -want):
+            assert np.min(np.abs(got - w)) <= 1e-14
+
 
 class TestCharPoly:
     def test_zero_matrix(self):
@@ -112,6 +122,22 @@ class TestCharPoly:
             got = am.char_poly(j)
             want = poly_from_eigs(j)
             np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
+
+    def test_stack_through_routh_vs_eig_oracle(self):
+        # one Faddeev-LeVerrier pass and one Routh pass over a stack, half of
+        # it shifted into the left half-plane, against eigenvalue signs
+        rng = np.random.default_rng(19)
+        js = rng.normal(size=(200, 6, 6))
+        shift = np.array([np.max(np.linalg.eigvals(j).real) for j in js])
+        margin = rng.uniform(0.05, 1.0, size=200) * np.where(np.arange(200) % 2, 1.0, -1.0)
+        js -= (shift + margin)[:, None, None] * np.eye(6)
+        coeffs = am.char_poly(js)
+        assert coeffs.shape == (200, 7)
+        stable, marginal = routh_flags(coeffs)
+        assert stable.tolist() == [eig_stable(j) for j in js]
+        assert not marginal.any()
+        for k in range(0, 200, 25):
+            assert np.array_equal(coeffs[k], am.char_poly(js[k]))
 
 
 class TestRouthHurwitz:
@@ -172,6 +198,35 @@ class TestLyapunov:
         with pytest.raises(am.UnstableDrift):
             am.lyapunov_solve(np.eye(6), np.eye(6))
 
+    def test_stack_matches_single_solves(self):
+        # more systems than one LU chunk; every fifth drift keeps a
+        # right-half-plane root, and one stable drift has a pivot at
+        # rounding level, so those come back NaN from the stack and raise
+        # on their own
+        rng = np.random.default_rng(29)
+        n = 2 * LYAPUNOV_CHUNK + 5
+        js = rng.normal(size=(n, 6, 6))
+        unstable = np.arange(n) % 5 == 3
+        margin = rng.uniform(0.1, 1.0, size=n) * np.where(unstable, -1.0, 1.0)
+        for j, m in zip(js, margin):
+            j -= (np.max(np.linalg.eigvals(j).real) + m) * np.eye(6)
+        js[7] = np.diag([-1.0] * 5 + [-1e-16])
+        d_half = rng.normal(size=(n, 6, 6))
+        ds = d_half @ np.swapaxes(d_half, 1, 2)
+        v = am.lyapunov_solve(js, ds)
+        assert v.shape == (n, 6, 6)
+        for k in range(n):
+            if unstable[k]:
+                assert np.all(np.isnan(v[k]))
+                with pytest.raises(am.UnstableDrift):
+                    am.lyapunov_solve(js[k], ds[k])
+            elif k == 7:
+                assert np.all(np.isnan(v[k]))
+                with pytest.raises(am.SingularSystem):
+                    am.lyapunov_solve(js[k], ds[k])
+            else:
+                assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
+
 
 class TestSymplecticNu:
     def test_vacuum(self):
@@ -202,3 +257,16 @@ class TestSymplecticNu:
         v[0, 2] = v[2, 0] = 5.0  # wildly unphysical cross correlations
         with pytest.raises(am.InvalidCovariance):
             am.symplectic_nu(v)
+
+    def test_stack_with_invalid_row(self):
+        rng = np.random.default_rng(37)
+        vs = np.array([random_covariance(rng) for _ in range(9)])
+        vs[4] = np.eye(4)
+        vs[4, 0, 2] = vs[4, 2, 0] = 5.0
+        with pytest.raises(am.InvalidCovariance):
+            am.symplectic_nu(vs[4])
+        nu = am.symplectic_nu(vs)
+        assert nu.shape == (9,)
+        assert np.isnan(nu[4])
+        for k in (0, 1, 2, 3, 5, 6, 7, 8):
+            assert nu[k] == am.symplectic_nu(vs[k])
