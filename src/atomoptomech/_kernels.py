@@ -2,14 +2,16 @@
 
 The pivoted LU, :func:`lu_solve`, works on a stack of systems: each of its
 pivot steps is one set of NumPy operations across the rows and the batch,
-so a frequency grid of 6x6 spectrum systems, or a detuning grid's 36x36
-Lyapunov systems, is solved at once; a single system is a batch of one.
-The characteristic polynomial, the Routh array and the Kronecker sums take
-stacks too, and the fluctuation matrix and the closed-form transfer row
-are elementwise in the frequency.  The steady-state roots,
+so a frequency grid of 6x6 spectrum systems, or a detuning grid's 21x21
+half-vectorized Lyapunov systems, is solved at once; a single system is a
+batch of one.  The characteristic polynomial, the Routh array and the
+Lyapunov system take stacks too, and the fluctuation matrix and the
+closed-form transfer row are elementwise in the frequency.  The steady-state roots,
 :func:`beta_roots`, come from one real quartic solved by Aberth-Ehrlich
 iteration and polished by Newton steps on the 2-D equation.
 """
+
+import functools
 
 import numpy as np
 
@@ -101,11 +103,47 @@ def routh_flags(coeffs):
     return stable, marginal
 
 
+@functools.lru_cache(maxsize=None)
+def _half_vec_maps(n):
+    """Index maps of the half-vectorized n x n Lyapunov equation.
+
+    The unknowns x_q = v_kl and the equations p = (a, b) both run over the
+    m = n(n + 1)/2 pairs k <= l in ``np.triu_indices`` order, and equation
+    p reads (j v + v j^T)_ab = sum_s j_as v_sb + j_bs v_as.  So entry (p, q)
+    of the system matrix is the sum of two entries ``src[:, p, q]`` of the
+    row-major j padded with a zero: index n^2 stands for an absent term,
+    and a repeated index doubles j_aa on the diagonal.  ``full`` gathers x
+    into the exactly symmetric v.
+    """
+    iu = np.triu_indices(n)
+    a, b = iu[0][:, None], iu[1][:, None]
+    k, l = iu
+    # v_sb is x_q when {s, b} = {k, l}, and v_as when {a, s} = {k, l}.
+    s1 = np.where(b == l, k, np.where(b == k, l, -1))
+    s2 = np.where(a == k, l, np.where(a == l, k, -1))
+    src = np.stack((np.where(s1 < 0, n * n, a * n + s1), np.where(s2 < 0, n * n, b * n + s2)))
+    full = np.zeros((n, n), dtype=np.intp)
+    full[iu] = full[iu[::-1]] = np.arange(len(k))
+    for arr in (src, full):
+        arr.flags.writeable = False
+    return src, iu, full
+
+
 def lyapunov_system(j, d):
-    """Vectorize j v + v j^T = -d into an n^2 x n^2 column-stacked linear
-    system, for one n x n pair or a stack (batch, n, n) of them."""
-    eye = np.eye(j.shape[-1])
-    return np.kron(eye, j) + np.kron(j, eye), -np.swapaxes(d, -1, -2).reshape(j.shape[:-2] + (-1,))
+    """Half-vectorize j v + v j^T = -d (d symmetric; its upper triangle is
+    read) into an m x m system for the m = n(n + 1)/2 independent entries
+    of v, for one n x n pair or a stack (batch, n, n) of them.
+
+    Returns the system matrices, the right-hand sides and the (n, n) index
+    array that maps a solution x to the exactly symmetric v = x[..., full].
+    """
+    n = j.shape[-1]
+    src, iu, full = _half_vec_maps(n)
+    batch = j.shape[:-2]
+    jp = np.concatenate((j.reshape(batch + (n * n,)), np.zeros(batch + (1,))), axis=-1)
+    a = jp[..., src[0]]
+    a += jp[..., src[1]]
+    return a, -d[..., iu[0], iu[1]], full
 
 
 def _quartic_roots(a):
@@ -165,8 +203,15 @@ def beta_roots(delta_r, gamma_r):
         y = -g * x / (x - d)
         disc = g * g + 2.0 - d * d
         if disc >= 0.0:
-            x = np.append(x, [d, d])
-            y = np.append(y, [g + np.sqrt(disc), g - np.sqrt(disc)])
+            lx, ly = [d, d], [g + np.sqrt(disc), g - np.sqrt(disc)]
+            # At d g = 0 they are exact roots and go first, so that the
+            # deduplication keeps them over a quartic root that Newton
+            # brought only near one (at d = 0, g^2 = 2/3 the root at x = 0
+            # is fourfold, and Newton converges to it only linearly).
+            if d * g == 0.0:
+                x, y = np.append(lx, x), np.append(ly, y)
+            else:
+                x, y = np.append(x, lx), np.append(y, ly)
         # The seventh pass only evaluates: its step is not taken.
         for _ in range(7):
             b = x + 1j * y
@@ -174,6 +219,8 @@ def beta_roots(delta_r, gamma_r):
             fi = 2.0 * (g * x - d * y + x * y)
             j00, j01, j10, j11 = 6.0 * x - 2.0 * d, 2.0 * (y - g), 2.0 * (g + y), 2.0 * (x - d)
             det = j00 * j11 - j01 * j10
+            # A singular Jacobian, as at that fourfold root, takes no step.
+            det[det == 0.0] = np.inf
             x, y = x - (fr * j11 - fi * j01) / det, y - (fi * j00 - fr * j10) / det
         ok = np.maximum(np.abs(fr), np.abs(fi)) <= 1e-12 * np.maximum(1.0, np.abs(b) ** 2)
     roots = []

@@ -122,7 +122,8 @@ def build_params(args) -> SystemParams:
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
         if not os.path.exists(path) and getattr(args, "config", None) is None:
-            path = None  # stale env var pointing nowhere is not an error
+            # A stale env var pointing nowhere is not an error, but say so.
+            print(f"warning: {ENV_CONFIG}={path} does not exist; ignored", file=sys.stderr)
         else:
             file_vals = parse_config_file(path)
 
@@ -231,6 +232,13 @@ def spectrum_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spectrum_svg(table, title="") -> str:
+    series = [[v if math.isfinite(v) else None for v in col] for col in table.s_out.T]
+    labels = [f"G = {g:g} kappa" for g in table.g_over_kappa]
+    xs = list(table.omega_over_omega_m)
+    return line_plot(xs, series, labels, "omega / omega_m", "S_out", title=title)
+
+
 def entangle_csv(rows) -> str:
     lines = ["delta_over_omega_m,stable,e_n,nu"]
     for r in rows:
@@ -303,20 +311,7 @@ def cmd_spectrum(args) -> int:
     else:
         sys.stdout.write(text)
     if cfg.svg:
-        series = [
-            [v if math.isfinite(v) else None for v in table.s_out[:, j]]
-            for j in range(len(cfg.g_values))
-        ]
-        _write_text(
-            cfg.svg,
-            line_plot(
-                list(table.omega_over_omega_m),
-                series,
-                [f"G = {g:g} kappa" for g in cfg.g_values],
-                "omega / omega_m",
-                "S_out",
-            ),
-        )
+        _write_text(cfg.svg, _spectrum_svg(table))
         print(f"wrote {cfg.svg}")
     return EXIT_OK
 
@@ -345,12 +340,8 @@ def cmd_entangle(args) -> int:
     else:
         sys.stdout.write(text)
     if cfg.svg:
-        xs = [r.delta_over_omega_m for r in rows]
-        ys = [[r.e_n if r.e_n is not None else None for r in rows]]
-        _write_text(
-            cfg.svg,
-            line_plot(xs, ys, ["E_N"], "Delta / omega_m", "E_N"),
-        )
+        xs, ys = [r.delta_over_omega_m for r in rows], [[r.e_n for r in rows]]
+        _write_text(cfg.svg, line_plot(xs, ys, ["E_N"], "Delta / omega_m", "E_N"))
         print(f"wrote {cfg.svg}")
     return EXIT_OK
 
@@ -363,21 +354,8 @@ def _reproduce_fig2(params, outdir, points):
         table = spectrum_sweep(p, case, (25.0, 50.0, 75.0, 100.0), grid)
         csv_path = os.path.join(outdir, f"fig2{tag}.csv")
         _write_text(csv_path, spectrum_csv(table))
-        series = [
-            [v if math.isfinite(v) else None for v in table.s_out[:, j]] for j in range(4)
-        ]
         svg_path = os.path.join(outdir, f"fig2{tag}.svg")
-        _write_text(
-            svg_path,
-            line_plot(
-                list(table.omega_over_omega_m),
-                series,
-                [f"G = {g:g} kappa" for g in table.g_over_kappa],
-                "omega / omega_m",
-                "S_out",
-                title=f"panel {tag}: delta_r = gamma_r = {case[0]:g}",
-            ),
-        )
+        _write_text(svg_path, _spectrum_svg(table, f"panel {tag}: delta_r = gamma_r = {case[0]:g}"))
         files += [csv_path, svg_path]
     return files
 
@@ -393,61 +371,36 @@ def _entangle_columns_csv(xs, columns, labels) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reproduce_fig3(params, outdir, points):
+def _entangle_panels(fig, params, outdir, points, columns):
+    """One CSV and one SVG of E_N per G panel; ``columns`` holds a
+    (CSV label, legend, params, (delta_r, gamma_r)) per curve."""
     files = []
     grid = np.linspace(0.0, 3.0, points) * params.omega_m
     xs = [d / params.omega_m for d in grid]
     for tag, g in (("a", 25.0), ("b", 100.0)):
-        cols, labels = [], []
-        for case_tag, case in (("1", (1.0, 1.0)), ("8", (8.0, 8.0))):
-            rows = detuning_sweep(params, case, g, grid)
-            cols.append([r.e_n for r in rows])
-            labels.append(f"e_n_case{case_tag}")
-        csv_path = os.path.join(outdir, f"fig3{tag}.csv")
-        _write_text(csv_path, _entangle_columns_csv(xs, cols, labels))
-        svg_path = os.path.join(outdir, f"fig3{tag}.svg")
-        _write_text(
-            svg_path,
-            line_plot(
-                xs,
-                cols,
-                [l.replace("e_n_case", "delta_r = gamma_r = ") for l in labels],
-                "Delta / omega_m",
-                "E_N",
-                title=f"panel {tag}: G = {g:g} kappa",
-            ),
-        )
+        cols = [[r.e_n for r in detuning_sweep(p, case, g, grid)] for _, _, p, case in columns]
+        csv_path = os.path.join(outdir, f"{fig}{tag}.csv")
+        _write_text(csv_path, _entangle_columns_csv(xs, cols, [c[0] for c in columns]))
+        svg_path = os.path.join(outdir, f"{fig}{tag}.svg")
+        legends = [c[1] for c in columns]
+        title = f"panel {tag}: G = {g:g} kappa"
+        _write_text(svg_path, line_plot(xs, cols, legends, "Delta / omega_m", "E_N", title=title))
         files += [csv_path, svg_path]
     return files
+
+
+def _reproduce_fig3(params, outdir, points):
+    cases = (("1", (1.0, 1.0)), ("8", (8.0, 8.0)))
+    columns = [(f"e_n_case{t}", f"delta_r = gamma_r = {t}", params, c) for t, c in cases]
+    return _entangle_panels("fig3", params, outdir, points, columns)
 
 
 def _reproduce_fig4(params, outdir, points):
-    files = []
-    grid = np.linspace(0.0, 3.0, points) * params.omega_m
-    xs = [d / params.omega_m for d in grid]
-    for tag, g in (("a", 25.0), ("b", 100.0)):
-        cols, labels = [], []
-        for n_atoms in (1e6, 1e7):
-            p = params.replace(n_atoms=n_atoms)
-            rows = detuning_sweep(p, (1.0, 1.0), g, grid)
-            cols.append([r.e_n for r in rows])
-            labels.append(f"e_n_n{n_atoms:.0e}".replace("+0", ""))
-        csv_path = os.path.join(outdir, f"fig4{tag}.csv")
-        _write_text(csv_path, _entangle_columns_csv(xs, cols, labels))
-        svg_path = os.path.join(outdir, f"fig4{tag}.svg")
-        _write_text(
-            svg_path,
-            line_plot(
-                xs,
-                cols,
-                labels,
-                "Delta / omega_m",
-                "E_N",
-                title=f"panel {tag}: G = {g:g} kappa",
-            ),
-        )
-        files += [csv_path, svg_path]
-    return files
+    columns = []
+    for n_atoms in (1e6, 1e7):
+        label = f"e_n_n{n_atoms:.0e}".replace("+0", "")
+        columns.append((label, label, params.replace(n_atoms=n_atoms), (1.0, 1.0)))
+    return _entangle_panels("fig4", params, outdir, points, columns)
 
 
 def cmd_reproduce(args) -> int:
@@ -528,10 +481,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:

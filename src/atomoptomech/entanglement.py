@@ -82,8 +82,8 @@ def steady_covariance(ds: DriftSystem) -> np.ndarray:
     """Stationary covariance from the Lyapunov equation, for one drift
     (raises if it is not Hurwitz) or a stack of them (NaN for those)."""
     scale = np.max(np.abs(ds.j), axis=(-2, -1), keepdims=True)
-    # Solve in scaled time so the 36x36 system is well conditioned; the
-    # covariance is invariant under (j, d) -> (j/s, d/s).
+    # Solve in scaled time so the 21x21 half-vectorized system is well
+    # conditioned; the covariance is invariant under (j, d) -> (j/s, d/s).
     return lyapunov_solve(ds.j / scale, ds.d / scale)
 
 

@@ -1,8 +1,9 @@
 """Small dense numerical routines sized for this problem.
 
 Complex 6x6 solves, characteristic polynomials, Routh-Hurwitz stability,
-Lyapunov solves via a 36x36 vectorized system and the closed-form smallest
-symplectic eigenvalue.  The solves and the eigenvalue take one system,
+Lyapunov solves via the 21x21 half-vectorized system of the symmetric
+covariance's independent entries, and the closed-form smallest symplectic
+eigenvalue.  The solves and the eigenvalue take one system,
 which raises on failure, or a stack, which gives NaN for a failed system.
 No general-purpose linear algebra backend is used at runtime.
 """
@@ -25,7 +26,7 @@ class UnstableDrift(Exception):
 
 
 class SingularSystem(Exception):
-    """The vectorized Lyapunov system is numerically singular."""
+    """The half-vectorized Lyapunov system is numerically singular."""
 
 
 class InvalidCovariance(Exception):
@@ -33,8 +34,9 @@ class InvalidCovariance(Exception):
 
 
 PIVOT_TOL = 1e-14
-# Lyapunov systems per lu_solve call; a whole sweep at once adds ~10 MiB.
-LYAPUNOV_CHUNK = 16
+# Lyapunov systems per lu_solve call: a 500-point sweep in one call would
+# add ~3 MiB of peak memory for a few ms less.
+LYAPUNOV_CHUNK = 48
 
 
 def solve_complex(a, b):
@@ -81,41 +83,47 @@ def routh_hurwitz_stable(coeffs):
 
 
 def routh_hurwitz_flags(coeffs):
-    """(stable, marginal) pair; marginal means a first-column entry vanished
-    and was replaced by the eps perturbation, so the verdict sits on a
-    stability boundary."""
-    stable, marginal = routh_flags(np.asarray(coeffs, dtype=np.float64)[None])
-    return bool(stable[0]), bool(marginal[0])
+    """(stable, marginal) verdict; marginal means a first-column entry
+    vanished and was replaced by the eps perturbation, so the verdict sits
+    on a stability boundary.  One coefficient vector gives a bool pair, a
+    stack (batch, n + 1) of them two bool arrays."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    stable, marginal = routh_flags(coeffs.reshape(-1, coeffs.shape[-1]))
+    if coeffs.ndim == 1:
+        return bool(stable[0]), bool(marginal[0])
+    return stable, marginal
 
 
 def lyapunov_solve(j, d):
     """Solve ``j v + v j^T = -d`` for the symmetric steady covariance.
 
-    ``j`` and ``d`` are n x n, or stacks (batch, n, n).  Each system gets
-    one Routh-Hurwitz verdict; the stable ones are vectorized into n^2 x n^2
-    real systems and solved LYAPUNOV_CHUNK at a time, and the result is
-    re-symmetrized.  A single system raises UnstableDrift for a drift that
-    is not Hurwitz stable and SingularSystem for a vanishing pivot, while in
-    a stack those systems come back as NaN.
+    ``j`` and ``d`` are n x n, or stacks (batch, n, n); ``d`` is symmetric.
+    Each system gets one Routh-Hurwitz verdict; the stable ones are
+    half-vectorized into n(n + 1)/2-square real systems for the independent
+    entries of v and solved LYAPUNOV_CHUNK at a time, so v comes back
+    exactly symmetric.  A single system raises UnstableDrift for a drift
+    that is not Hurwitz stable and SingularSystem for a vanishing pivot,
+    while in a stack those systems come back as NaN.
     """
     j = np.array(j, dtype=np.float64)
     d = np.array(d, dtype=np.float64)
     n = j.shape[-1]
     js, ds = j.reshape(-1, n, n), d.reshape(-1, n, n)
-    stable, _ = routh_flags(char_poly_coeffs(js))
+    stable, _ = routh_hurwitz_flags(char_poly(js))
     v = np.full(js.shape, np.nan)
     todo = np.flatnonzero(stable)
     for start in range(0, len(todo), LYAPUNOV_CHUNK):
         rows = todo[start : start + LYAPUNOV_CHUNK]
-        x, min_pivot, anorm = lu_solve(*lyapunov_system(js[rows], ds[rows]))
+        a, rhs, full = lyapunov_system(js[rows], ds[rows])
+        x, min_pivot, anorm = lu_solve(a, rhs)
         x[min_pivot <= PIVOT_TOL * anorm] = np.nan
-        v[rows] = np.swapaxes(x.reshape(-1, n, n), 1, 2)
+        v[rows] = x[:, full]
     if j.ndim == 2:
         if not stable[0]:
             raise UnstableDrift("drift matrix is not Hurwitz stable")
         if np.isnan(v).any():
-            raise SingularSystem("vectorized Lyapunov system has a vanishing pivot")
-    return ((v + np.swapaxes(v, 1, 2)) / 2.0).reshape(j.shape)
+            raise SingularSystem("Lyapunov system has a vanishing pivot")
+    return v.reshape(j.shape)
 
 
 def _det2(m):

@@ -76,6 +76,32 @@ class TestConfig:
         p = cli.build_params(_Namespace())
         assert p.n_atoms == 12345
 
+    def test_stale_env_config_warns(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.ENV_CONFIG, str(tmp_path / "gone.cfg"))
+        code, out, err = run_cli(capsys, "steady", "--case", "1")
+        assert code == cli.EXIT_OK
+        assert "|beta|^2" in out
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert cli.ENV_CONFIG in lines[0] and "gone.cfg" in lines[0]
+
+    def test_existing_env_config_is_read_silently(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        _, default, _ = run_cli(capsys, "steady", "--case", "1", "--json")
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text("mirror_mass = 2e-13\n")
+        monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
+        code, out, err = run_cli(capsys, "steady", "--case", "1", "--json")
+        assert code == cli.EXIT_OK
+        assert err == ""
+        assert json.loads(out)["x_s"] != json.loads(default)["x_s"]
+
+    def test_missing_explicit_config_is_config_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        code, out, err = run_cli(capsys, "steady", "--config", str(tmp_path / "gone.cfg"))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:")
+
     def test_case_preset(self):
         p = cli.build_params(_Namespace(case="2.5"))
         assert p.delta_r == 2.5 and p.gamma_r == 2.5

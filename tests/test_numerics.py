@@ -154,6 +154,22 @@ class TestRouthHurwitz:
         stable, marginal = am.routh_hurwitz_flags(coeffs)
         assert marginal
 
+    def test_flags_of_a_stack(self):
+        # a stack of coefficient rows gives two bool arrays, row by row the
+        # verdicts of the one-polynomial call
+        rows = np.array([
+            [1, 6, 15, 20, 15, 6, 1],
+            np.convolve([1.0, -1.0], poly_from_eigs(-np.eye(5))),
+            np.convolve([1.0, 0.0, 1.0], poly_from_eigs(-np.eye(4))),
+        ], dtype=float)
+        stable, marginal = am.routh_hurwitz_flags(rows)
+        assert stable.dtype == bool and marginal.dtype == bool
+        assert list(zip(stable.tolist(), marginal.tolist())) == [
+            am.routh_hurwitz_flags(r) for r in rows
+        ]
+        assert stable[:2].tolist() == [True, False]
+        assert not marginal[0] and marginal[2]
+
     def test_500_random_vs_eig_oracle(self):
         rng = np.random.default_rng(17)
         n_checked = 0
@@ -226,6 +242,49 @@ class TestLyapunov:
                     am.lyapunov_solve(js[k], ds[k])
             else:
                 assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
+
+
+def _stable_stack(rng, n, size):
+    js = rng.normal(size=(size, n, n))
+    for j in js:
+        j -= (np.max(np.linalg.eigvals(j).real) + rng.uniform(0.1, 1.0)) * np.eye(n)
+    d_half = rng.normal(size=(size, n, n))
+    return js, d_half @ np.swapaxes(d_half, 1, 2)
+
+
+class TestHalfVectorizedLyapunov:
+    def test_stack_vs_scipy_with_unstable_rows_at_chunk_boundaries(self):
+        # every chunk boundary of the input carries an unstable drift on
+        # it and on both sides of it; the rest must match SciPy's
+        # Bartels-Stewart solve and come back exactly symmetric
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(41)
+        n = max(150, 3 * LYAPUNOV_CHUNK) + 10
+        js, ds = _stable_stack(rng, 6, n)
+        unstable = np.zeros(n, dtype=bool)
+        for edge in range(LYAPUNOV_CHUNK, n, LYAPUNOV_CHUNK):
+            unstable[edge - 1 : edge + 2] = True
+        js[unstable] += 2.0 * np.eye(6) * np.abs(js[unstable]).max()
+        v = am.lyapunov_solve(js, ds)
+        assert v.shape == (n, 6, 6)
+        assert np.array_equal(v, np.swapaxes(v, 1, 2), equal_nan=True)
+        assert np.isnan(v).any(axis=(1, 2)).tolist() == unstable.tolist()
+        for k in np.flatnonzero(~unstable):
+            want = linalg.solve_continuous_lyapunov(js[k], -ds[k])
+            assert np.max(np.abs(v[k] - want)) <= 1e-9 * np.max(np.abs(want)), k
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_other_sizes_vs_scipy(self, n):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(43 + n)
+        js, ds = _stable_stack(rng, n, 20)
+        v = am.lyapunov_solve(js, ds)
+        assert v.shape == (20, n, n)
+        assert np.array_equal(v, np.swapaxes(v, 1, 2))
+        for k in range(20):
+            want = linalg.solve_continuous_lyapunov(js[k], -ds[k])
+            assert np.max(np.abs(v[k] - want)) <= 1e-9 * np.max(np.abs(want))
+            assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
 
 
 class TestSymplecticNu:

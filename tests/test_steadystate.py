@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import atomoptomech as am
+from atomoptomech._kernels import beta_roots
 
 
 class TestSolveBeta:
@@ -77,6 +78,18 @@ class TestSolveBeta:
             assert len(roots) == 2
             assert roots[0].real == pytest.approx(-1.0 / dr, rel=1e-9)
             assert roots[1].real == pytest.approx(2.0 * dr / 3.0, rel=1e-9)
+
+    def test_fourfold_root_on_the_line_is_exact(self):
+        # at delta_r = 0, gamma_r^2 = 2/3 the root -i gamma_r on the line
+        # x = 0 is fourfold and Newton reaches it from the quartic only
+        # linearly; the exact line point must be the one returned, at
+        # sqrt(2/3) and at both of its float neighbours
+        g0 = np.sqrt(2.0 / 3.0)
+        for gr in (np.nextafter(g0, 0.0), g0, np.nextafter(g0, 1.0)):
+            roots = beta_roots(0.0, gr)
+            assert len(roots) == 2, (gr, roots)
+            assert np.all(roots.real == 0.0), (gr, roots)
+            assert np.min(np.abs(roots + 1j * gr)) <= 1e-15, (gr, roots)
 
     def test_overflowing_coefficients_raise(self):
         with pytest.raises(am.NoRoot):
