@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,34 +55,17 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Resolved run description: parameters plus output/grid choices."""
-
-    params: SystemParams
-    mode: str
-    out: str | None = None
-    svg: str | None = None
-    outdir: str = "."
-    g_values: tuple = ()
-    grid_min: float = 0.0
-    grid_max: float = 0.0
-    grid_points: int = 0
-
-    def grid(self, unit: float):
-        return np.linspace(self.grid_min, self.grid_max, self.grid_points) * unit
-
-
-def _run_config(args, mode: str, **kw) -> RunConfig:
+def _run_config(args, *paths) -> SystemParams:
+    """The validated parameters of a run whose output files are ``paths``;
+    each path that is given must name an existing directory."""
     params = build_params(args)
     validate(params)
-    cfg = RunConfig(params=params, mode=mode, **kw)
-    for path in (cfg.out, cfg.svg):
+    for path in paths:
         if path:
             parent = os.path.dirname(os.path.abspath(path))
             if not os.path.isdir(parent):
                 raise ConfigError(f"output directory {parent!r} does not exist")
-    return cfg
+    return params
 
 
 def _fmt(x) -> str:
@@ -287,62 +269,43 @@ def cmd_steady(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _run_config(
-        args,
-        "spectrum",
-        out=args.out,
-        svg=args.svg,
-        g_values=tuple(args.g) if args.g else (25.0, 50.0, 75.0, 100.0),
-        grid_min=args.omega_min,
-        grid_max=args.omega_max,
-        grid_points=args.points,
-    )
-    params = cfg.params
+    params = _run_config(args, args.out, args.svg)
     table = spectrum_sweep(
         params,
         (params.delta_r, params.gamma_r),
-        cfg.g_values,
-        cfg.grid(params.omega_m),
+        tuple(args.g) if args.g else (25.0, 50.0, 75.0, 100.0),
+        np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m,
     )
     text = spectrum_csv(table)
-    if cfg.out:
-        _write_text(cfg.out, text)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    if cfg.svg:
-        _write_text(cfg.svg, _spectrum_svg(table))
-        print(f"wrote {cfg.svg}")
+    if args.svg:
+        _write_text(args.svg, _spectrum_svg(table))
+        print(f"wrote {args.svg}")
     return EXIT_OK
 
 
 def cmd_entangle(args) -> int:
-    cfg = _run_config(
-        args,
-        "entangle",
-        out=args.out,
-        svg=args.svg,
-        grid_min=args.delta_min,
-        grid_max=args.delta_max,
-        grid_points=args.points,
-    )
-    params = cfg.params
+    params = _run_config(args, args.out, args.svg)
     rows = detuning_sweep(
         params,
         (params.delta_r, params.gamma_r),
         args.g if args.g is not None else params.coupling_G / params.kappa,
-        cfg.grid(params.omega_m),
+        np.linspace(args.delta_min, args.delta_max, args.points) * params.omega_m,
     )
     text = entangle_csv(rows)
-    if cfg.out:
-        _write_text(cfg.out, text)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    if cfg.svg:
+    if args.svg:
         xs, ys = [r.delta_over_omega_m for r in rows], [[r.e_n for r in rows]]
-        _write_text(cfg.svg, line_plot(xs, ys, ["E_N"], "Delta / omega_m", "E_N"))
-        print(f"wrote {cfg.svg}")
+        _write_text(args.svg, line_plot(xs, ys, ["E_N"], "Delta / omega_m", "E_N"))
+        print(f"wrote {args.svg}")
     return EXIT_OK
 
 
@@ -404,8 +367,8 @@ def _reproduce_fig4(params, outdir, points):
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _run_config(args, f"reproduce-{args.figure}", outdir=args.outdir)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    params = _run_config(args)
+    os.makedirs(args.outdir, exist_ok=True)
     jobs = {
         "fig2": (_reproduce_fig2, args.points or 2000),
         "fig3": (_reproduce_fig3, args.points or 500),
@@ -416,7 +379,7 @@ def cmd_reproduce(args) -> int:
     for name in targets:
         fn, pts = jobs[name]
         try:
-            files = fn(cfg.params, cfg.outdir, pts)
+            files = fn(params, args.outdir, pts)
             for f in files:
                 print(f"wrote {f}")
         except Exception as exc:  # noqa: BLE001 - panel isolation is the contract

@@ -1,16 +1,19 @@
 """Small dense numerical routines sized for this problem.
 
-Complex 6x6 solves, characteristic polynomials, Routh-Hurwitz stability,
-Lyapunov solves via the 21x21 half-vectorized system of the symmetric
-covariance's independent entries, and the closed-form smallest symplectic
-eigenvalue.  The solves and the eigenvalue take one system,
+A batched pivoted LU, :func:`lu_solve`, solves a stack of systems, each of
+its pivot steps one set of NumPy operations across the rows and the batch.
+It serves the complex 6x6 spectrum solves and the Lyapunov solve, which
+runs Routh-Hurwitz stability on Faddeev-LeVerrier characteristic
+polynomials and then solves the 21x21 half-vectorized system of the
+symmetric covariance's independent entries.  The smallest symplectic
+eigenvalue is closed-form.  The solves and the eigenvalue take one system,
 which raises on failure, or a stack, which gives NaN for a failed system.
 No general-purpose linear algebra backend is used at runtime.
 """
 
-import numpy as np
+import functools
 
-from ._kernels import char_poly_coeffs, lu_solve, lyapunov_system, routh_flags
+import numpy as np
 
 
 class SingularMatrix(Exception):
@@ -37,6 +40,41 @@ PIVOT_TOL = 1e-14
 # Lyapunov systems per lu_solve call: a 500-point sweep in one call would
 # add ~3 MiB of peak memory for a few ms less.
 LYAPUNOV_CHUNK = 48
+
+
+def lu_solve(a, b):
+    """Solve ``a[s] @ x[s] = b[s]`` for every system ``s`` of a stack by LU
+    with partial pivoting, in place.
+
+    ``a`` is (batch, n, n) and ``b`` is (batch, n), scratch copies owned by
+    the caller.  Returns ``(x, min_pivot, max_norm)``, the last two per
+    system; the caller decides what pivot magnitude counts as singular.  A
+    system whose pivot is exactly zero gets min_pivot = 0 and a garbage x.
+    """
+    batch, n = b.shape
+    systems = np.arange(batch)
+    anorm = np.abs(a).sum(axis=2).max(axis=1)
+    min_pivot = np.full(batch, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            mag = np.abs(a[:, k:, k])
+            piv = k + np.argmax(mag, axis=1)
+            # fmin skips NaN, so a zero pivot stays recorded when the
+            # elimination after it turns that system into NaN.
+            min_pivot = np.fmin(min_pivot, mag.max(axis=1))
+            a[systems, k], a[systems, piv] = a[systems, piv], a[systems, k]
+            b[systems, k], b[systems, piv] = b[systems, piv], b[systems, k]
+            f = a[:, k + 1 :, k] / a[:, k, k, None]
+            a[:, k + 1 :, k + 1 :] -= f[:, :, None] * a[:, None, k, k + 1 :]
+            b[:, k + 1 :] -= f * b[:, k, None]
+        # Back substitution subtracts each row's terms one after another in
+        # column order (subtract.reduce is a left fold, not a pairwise sum),
+        # so a system rounds the same whatever its size or batch.
+        for i in range(n - 1, -1, -1):
+            terms = a[:, i, i + 1 :] * b[:, i + 1 :]
+            s = np.subtract.reduce(np.concatenate((b[:, i, None], terms), axis=1), axis=1)
+            b[:, i] = s / a[:, i, i]
+    return b, min_pivot, anorm
 
 
 def solve_complex(a, b):
@@ -69,11 +107,23 @@ def solve_complex(a, b):
 
 def char_poly(j):
     """Coefficients of the monic characteristic polynomial of a real matrix,
-    or of each matrix of a stack (..., n, n)."""
+    or of each matrix of a stack (..., n, n), by the Faddeev-LeVerrier
+    recursion; the result is (..., n + 1)."""
     j = np.array(j, dtype=np.float64)
     if j.ndim < 2 or j.shape[-1] != j.shape[-2]:
         raise ValueError("char_poly expects square matrices")
-    return char_poly_coeffs(j)
+    n = j.shape[-1]
+    diag = np.arange(n)
+    coeffs = np.zeros(j.shape[:-2] + (n + 1,))
+    coeffs[..., 0] = 1.0
+    m = np.zeros(j.shape)
+    m[..., diag, diag] = 1.0
+    for k in range(1, n + 1):
+        m = j @ m
+        c = -m[..., diag, diag].sum(axis=-1) / k
+        coeffs[..., k] = c
+        m[..., diag, diag] += c[..., None]
+    return coeffs
 
 
 def routh_hurwitz_stable(coeffs):
@@ -83,39 +133,99 @@ def routh_hurwitz_stable(coeffs):
 
 
 def routh_hurwitz_flags(coeffs):
-    """(stable, marginal) verdict; marginal means a first-column entry
-    vanished and was replaced by the eps perturbation, so the verdict sits
-    on a stability boundary.  One coefficient vector gives a bool pair, a
-    stack (batch, n + 1) of them two bool arrays."""
+    """Routh array sign test: the (stable, marginal) verdict of a monic
+    polynomial.  One coefficient vector gives a bool pair, a stack
+    (batch, n + 1) of them two bool arrays.
+
+    A vanishing first-column entry (exactly zero, or at rounding level
+    relative to the array scale) is replaced by eps = 1e-30 and flags the
+    polynomial marginal, so its verdict sits on a stability boundary; once
+    a polynomial is flagged, its scale stops growing.  A marginal
+    polynomial is not stable: a Hurwitz polynomial has every first-column
+    entry strictly positive.  A NaN coefficient makes it unstable.
+    """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    stable, marginal = routh_flags(coeffs.reshape(-1, coeffs.shape[-1]))
+    stack = coeffs.reshape(-1, coeffs.shape[-1])
+    batch, rows = stack.shape
+    width = (rows + 1) // 2
+    table = np.zeros((batch, rows, width + 1))
+    table[:, 0, :width] = stack[:, 0::2]
+    table[:, 1, : rows // 2] = stack[:, 1::2]
+    scale = np.abs(table[:, :2, :width]).max(axis=(1, 2))
+    marginal = np.zeros(batch, dtype=bool)
+    eps = 1e-30
+    for r in range(2, rows):
+        small = np.abs(table[:, r - 1, 0]) <= 1e-14 * scale
+        table[small, r - 1, 0] = eps
+        marginal |= small
+        pivot = table[:, r - 1, 0, None]
+        table[:, r, :width] = (
+            pivot * table[:, r - 2, 1:] - table[:, r - 2, 0, None] * table[:, r - 1, 1:]
+        ) / pivot
+        grown = np.maximum(scale, np.abs(table[:, r, :width]).max(axis=1))
+        scale = np.where(marginal, scale, grown)
+    first = table[:, :, 0]
+    zero = first == 0.0
+    marginal |= zero.any(axis=1)
+    first = np.where(zero, eps, first)
+    stable = np.all(first[:, :1] * first > 0.0, axis=1) & ~marginal
     if coeffs.ndim == 1:
         return bool(stable[0]), bool(marginal[0])
     return stable, marginal
 
 
+@functools.lru_cache(maxsize=None)
+def _half_vec_maps(n):
+    """Index maps of the half-vectorized n x n Lyapunov equation.
+
+    The unknowns x_q = v_kl and the equations p = (a, b) both run over the
+    m = n(n + 1)/2 pairs k <= l in ``np.triu_indices`` order, and equation
+    p reads (j v + v j^T)_ab = sum_s j_as v_sb + j_bs v_as.  So entry (p, q)
+    of the system matrix is the sum of two entries ``src[:, p, q]`` of the
+    row-major j padded with a zero: index n^2 stands for an absent term,
+    and a repeated index doubles j_aa on the diagonal.  ``full`` gathers x
+    into the exactly symmetric v.
+    """
+    iu = np.triu_indices(n)
+    a, b = iu[0][:, None], iu[1][:, None]
+    k, l = iu
+    # v_sb is x_q when {s, b} = {k, l}, and v_as when {a, s} = {k, l}.
+    s1 = np.where(b == l, k, np.where(b == k, l, -1))
+    s2 = np.where(a == k, l, np.where(a == l, k, -1))
+    src = np.stack((np.where(s1 < 0, n * n, a * n + s1), np.where(s2 < 0, n * n, b * n + s2)))
+    full = np.zeros((n, n), dtype=np.intp)
+    full[iu] = full[iu[::-1]] = np.arange(len(k))
+    for arr in (src, full):
+        arr.flags.writeable = False
+    return src, iu, full
+
+
 def lyapunov_solve(j, d):
     """Solve ``j v + v j^T = -d`` for the symmetric steady covariance.
 
-    ``j`` and ``d`` are n x n, or stacks (batch, n, n); ``d`` is symmetric.
-    Each system gets one Routh-Hurwitz verdict; the stable ones are
-    half-vectorized into n(n + 1)/2-square real systems for the independent
-    entries of v and solved LYAPUNOV_CHUNK at a time, so v comes back
-    exactly symmetric.  A single system raises UnstableDrift for a drift
-    that is not Hurwitz stable and SingularSystem for a vanishing pivot,
-    while in a stack those systems come back as NaN.
+    ``j`` and ``d`` are n x n, or stacks (batch, n, n); ``d`` is symmetric
+    and its upper triangle is read.  Each system gets one Routh-Hurwitz
+    verdict; the stable ones are half-vectorized into n(n + 1)/2-square
+    real systems for the independent entries of v and solved
+    LYAPUNOV_CHUNK at a time, so v comes back exactly symmetric.  A single
+    system raises UnstableDrift for a drift that is not Hurwitz stable and
+    SingularSystem for a vanishing pivot, while in a stack those systems
+    come back as NaN.
     """
     j = np.array(j, dtype=np.float64)
     d = np.array(d, dtype=np.float64)
     n = j.shape[-1]
     js, ds = j.reshape(-1, n, n), d.reshape(-1, n, n)
     stable, _ = routh_hurwitz_flags(char_poly(js))
+    src, iu, full = _half_vec_maps(n)
     v = np.full(js.shape, np.nan)
     todo = np.flatnonzero(stable)
     for start in range(0, len(todo), LYAPUNOV_CHUNK):
         rows = todo[start : start + LYAPUNOV_CHUNK]
-        a, rhs, full = lyapunov_system(js[rows], ds[rows])
-        x, min_pivot, anorm = lu_solve(a, rhs)
+        jp = np.concatenate((js[rows].reshape(-1, n * n), np.zeros((len(rows), 1))), axis=-1)
+        a = jp[:, src[0]]
+        a += jp[:, src[1]]
+        x, min_pivot, anorm = lu_solve(a, -ds[rows][:, iu[0], iu[1]])
         x[min_pivot <= PIVOT_TOL * anorm] = np.nan
         v[rows] = x[:, full]
     if j.ndim == 2:

@@ -127,7 +127,9 @@ def validate(params: SystemParams) -> list[str]:
     if params.n_atoms < 1:
         raise ValueError(f"n_atoms must be >= 1, got {params.n_atoms!r}")
     if params.backaction_weight not in ("delta", "kappa"):
-        raise ValueError(f"backaction_weight must be 'delta' or 'kappa'")
+        raise ValueError(
+            f"backaction_weight must be 'delta' or 'kappa', got {params.backaction_weight!r}"
+        )
 
     warnings = []
     from .steadystate import NoRoot, solve_beta

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import spectrum as spec_mod
-from .entanglement import build_drift, is_stable, steady_covariance
+from .entanglement import DriftSystem, build_drift, is_stable, steady_covariance
 from .numerics import symplectic_nu
 from .params import SystemParams, derive_couplings
 from .spectrum import output_spectrum, transfer_direct
@@ -103,17 +103,21 @@ def check_shot_noise_floor(n_points=100):
 
 
 def check_lyapunov_residuals(n_points=25, seed=7):
-    """Residual of the Lyapunov solve on random stable operating points."""
+    """Residual of the Lyapunov solve on random stable operating points,
+    solved as one stack, the way the detuning sweeps solve them."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    drifts = []
     for _ in range(n_points):
         p, ss, cpl = random_stable_operating_point(rng)
-        ds = build_drift(p, cpl, ss)
+        drifts.append(build_drift(p, cpl, ss))
+    stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
+    residuals = []
+    for ds, v in zip(drifts, steady_covariance(stack)):
         scale = np.max(np.abs(ds.j))
         j, d = ds.j / scale, ds.d / scale
-        v = steady_covariance(ds)
-        res = np.max(np.abs(j @ v + v @ j.T + d)) / np.max(np.abs(d))
-        worst = max(worst, res)
+        residuals.append(np.max(np.abs(j @ v + v @ j.T + d)) / np.max(np.abs(d)))
+    # A system that failed in the stack comes back NaN; np.max keeps it.
+    worst = np.max(residuals)
     return "Lyapunov residuals", worst <= 1e-9, f"worst scaled residual {worst:.2e}"
 
 

@@ -6,9 +6,12 @@ coefficients from the input noises to the output field: an LU solve of the
 6x6 system, and the expanded cofactor (closed-form) expressions.  Their
 agreement is the central correctness check of the package.
 
-The LU route and the spectrum take one frequency or an array of them; an
-array is assembled into a stack of 6x6 systems and solved in one batched
-pass, with resonance poles coming back as NaN.
+:func:`build_matrix` assembles the 6x6 matrix, elementwise in the
+frequency, and :func:`transfer_closed_form` holds the cofactor expressions,
+both straight from the parameters, couplings and steady state.  The LU route and
+the spectrum take one frequency or an array of them; an array is assembled
+into a stack of 6x6 systems and solved in one batched pass, with resonance
+poles coming back as NaN.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import fluctuation_matrix, transfer_row_closed
 from .numerics import SingularMatrix, solve_complex
 from .params import HBAR, K_BOLTZMANN, DerivedCouplings, SystemParams, derive_couplings
 from .steadystate import SteadyState, fixed_point
@@ -71,21 +73,44 @@ def build_matrix(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> FluctuationMatrix:
     """Assemble the 6x6 fluctuation matrix at angular frequency ``omega``;
-    an array of frequencies gives a stack of shape ``omega.shape + (6, 6)``."""
+    an array of frequencies gives a stack of shape ``omega.shape + (6, 6)``.
+
+    Basis order: intracavity field, its conjugate, collective atomic mode,
+    its conjugate, mirror position, mirror momentum.
+    """
     omega = _omega(omega)
-    a = fluctuation_matrix(
-        omega,
-        params.kappa,
-        params.gamma_a,
-        params.delta,
-        couplings.delta_a_prime,
-        complex(couplings.g1),
-        complex(couplings.g2),
-        complex(couplings.g3),
-        complex(couplings.g0 * ss.c_s),
-        params.omega_m,
-        params.gamma_m,
-    )
+    kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
+    delta_a_prime, wm, gm = couplings.delta_a_prime, params.omega_m, params.gamma_m
+    g1, g2, g3 = complex(couplings.g1), complex(couplings.g2), complex(couplings.g3)
+    g0cs = complex(couplings.g0 * ss.c_s)
+    w = np.asarray(omega, dtype=float)
+    mu1 = kappa + 1j * (delta - w)
+    mu2 = kappa - 1j * (delta + w)
+    nu1 = gamma_a + 1j * (delta_a_prime - w)
+    nu2 = gamma_a - 1j * (delta_a_prime + w)
+    a = np.zeros(w.shape + (6, 6), dtype=np.complex128)
+    a[..., 0, 0] = mu1
+    a[..., 0, 2] = 1j * g2
+    a[..., 0, 3] = -1j * g3
+    a[..., 0, 4] = -1j * g0cs
+    a[..., 1, 1] = mu2
+    a[..., 1, 2] = 1j * np.conj(g3)
+    a[..., 1, 3] = -1j * np.conj(g2)
+    a[..., 1, 4] = 1j * np.conj(g0cs)
+    a[..., 2, 0] = 1j * g2
+    a[..., 2, 1] = -1j * g3
+    a[..., 2, 2] = nu1
+    a[..., 2, 3] = -1j * g1
+    a[..., 3, 0] = 1j * np.conj(g3)
+    a[..., 3, 1] = -1j * np.conj(g2)
+    a[..., 3, 2] = 1j * np.conj(g1)
+    a[..., 3, 3] = nu2
+    a[..., 4, 4] = 1j * w
+    a[..., 4, 5] = wm
+    a[..., 5, 0] = -np.conj(g0cs)
+    a[..., 5, 1] = -g0cs
+    a[..., 5, 4] = wm
+    a[..., 5, 5] = gm - 1j * w
     return FluctuationMatrix(
         omega=omega,
         a=a,
@@ -146,29 +171,110 @@ def transfer_direct(
 def transfer_closed_form(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega: float
 ) -> TransferCoefficients:
-    """Transfer coefficients from the expanded cofactor expressions."""
-    omega = float(omega)
-    # At a pole the quotients are inf/NaN; the check below raises PoleAtOmega.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m11, m12, m13, m14, m16, dval = transfer_row_closed(
-            omega,
-            params.kappa,
-            params.gamma_a,
-            params.delta,
-            couplings.delta_a_prime,
-            complex(couplings.g1),
-            complex(couplings.g2),
-            complex(couplings.g3),
-            float(couplings.g0),
-            complex(ss.c_s),
-            params.omega_m,
-            params.gamma_m,
+    """Transfer coefficients from the expanded cofactor expressions.
+
+    These are the cofactor expressions of the first row of the inverse 6x6
+    system written out, over the determinant d as common denominator; they
+    are checked against the LU route by the verification suite.
+    """
+    w = float(omega)
+    kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
+    delta_a_prime, wm, gm = couplings.delta_a_prime, params.omega_m, params.gamma_m
+    g1, g2, g3 = complex(couplings.g1), complex(couplings.g2), complex(couplings.g3)
+    g0, cs = float(couplings.g0), complex(ss.c_s)
+    mu1 = kappa + 1j * (delta - w)
+    mu2 = kappa - 1j * (delta + w)
+    nu1 = gamma_a + 1j * (delta_a_prime - w)
+    nu2 = gamma_a - 1j * (delta_a_prime + w)
+    g1c = np.conj(g1)
+    g2c = np.conj(g2)
+    g3c = np.conj(g3)
+    csc = np.conj(cs)
+    cs2 = cs * cs
+    csc2 = csc * csc
+    acs = (cs * csc).real
+    a1 = (g1 * g1c).real
+    a2 = (g2 * g2c).real
+    a3 = (g3 * g3c).real
+    s = g1 * g3c + g3 * g1c
+
+    d = (
+        -2j * w * a2 * a3 * gm
+        - mu1 * w * (1j * w - gm) * (g1 * g2c * g3c + g3 * g1c * g2c)
+        + mu2 * w * (1j * w - gm) * (g1 * g2 * g3c + g2 * g3 * g1c)
+        - w * (w + 1j * gm) * (mu1 * mu2 * a1 - mu1 * nu1 * g2c * g2c - g2 * g2 * mu2 * nu2 - mu1 * mu2 * nu1 * nu2)
+        + 1j
+        * g0
+        * g0
+        * (
+            cs2 * g3c * (nu1 * g2c - g2 * nu2)
+            - 1j * g1 * cs2 * g3c * g3c
+            + g3 * csc2 * (nu1 * g2c - 1j * g3 * g1c - g2 * nu2)
+            + acs * ((mu1 - mu2) * (a1 - nu1 * nu2) + nu1 * g2c * g2c - 2j * s * g2.real - g2 * g2 * nu2)
         )
-    # dval carries six powers of rate; scale the underflow guard accordingly.
-    scale = max(params.kappa, params.gamma_a, params.omega_m, abs(omega), 1.0) ** 6
-    if abs(dval) < 1e-300 * scale:
-        raise PoleAtOmega(f"denominator vanished at omega={omega!r}")
-    return _output_map(params, omega, m11, m12, m13, m14, m16)
+        * wm
+        + (
+            2 * a2 * a3
+            - mu1 * nu1 * g2c * g2c
+            + 1j * mu1 * g2c * s
+            + mu2 * (mu1 * a1 - 1j * g2 * s - nu2 * (g2 * g2 + mu1 * nu1))
+        )
+        * wm
+        * wm
+        + a2 * (g0 * g0 * wm * (g1 * csc2 + cs2 * g1c) - 2 * w * w * a3)
+        + (a2 * a2 + a3 * a3) * (1j * w * gm - wm * wm + w * w)
+        + a3
+        * (
+            1j * (nu1 - nu2) * g0 * g0 * wm * acs
+            - (mu2 * nu1 + mu1 * nu2) * (w * w + 1j * gm * w)
+            + (mu2 * nu1 + mu1 * nu2) * wm * wm
+        )
+    )
+
+    qa = nu2 * a3 - nu2 * mu2 * nu1 + mu2 * a1
+    br_a = (
+        1j * g0 * g0 * wm * acs * (a1 - nu1 * nu2)
+        - (w * w + 1j * w * gm) * qa
+        + wm * wm * qa
+        + (g1 * g3c * g2c + g3 * g1c * g2c + 1j * nu1 * g2c * g2c) * (w * gm - 1j * w * w + 1j * wm * wm)
+    )
+
+    br_b = (
+        g0 * g0 * cs2 * wm * (a1 - nu1 * nu2)
+        + (1j * w * gm - wm * wm + w * w)
+        * (g1 * a2 + 1j * g3 * g2c * nu1 + g3 * g3 * g1c - 1j * g2 * g3 * nu2)
+    )
+
+    br_c = (
+        -g0 * g0 * wm * (g1c * g3 * acs + cs2 * g1c * g2c - 1j * nu2 * (g2 * acs + cs2 * g3c))
+        + (w * w + 1j * w * gm - wm * wm)
+        * (a3 * g2c - a2 * g2c - mu2 * nu2 * g2 - 1j * g3 * mu2 * g1c)
+    )
+
+    br_d = (
+        g2c * g0 * g0 * cs2 * nu1 * wm
+        + (1j * w * gm - wm * wm + w * w)
+        * (1j * a2 * g3 + g1 * g2 * mu2 - 1j * a3 * g3 + 1j * g3 * nu1 * mu2)
+        - 1j * g3c * g1 * g0 * g0 * cs2 * wm
+        + g0 * g0 * wm * acs * (g3 * nu1 - 1j * g1 * g2)
+    )
+
+    br_f = (
+        cs * (nu2 * (a3 - mu2 * nu1) + mu2 * a1 - nu1 * g2c * g2c)
+        + 1j * a2 * g1 * csc
+        + 1j * g2c * g1 * g3c * cs
+        + g2c * g3 * (1j * g1c * cs - nu1 * csc)
+        + g3 * csc * (g2 * nu2 + 1j * g3 * g1c)
+    )
+
+    # d carries six powers of rate; scale the underflow guard accordingly.
+    # The guard runs before the quotients, so a pole divides by nothing.
+    scale = max(params.kappa, params.gamma_a, params.omega_m, abs(w), 1.0) ** 6
+    if abs(d) < 1e-300 * scale:
+        raise PoleAtOmega(f"denominator vanished at omega={w!r}")
+    return _output_map(
+        params, w, br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 1j * g0 * wm * br_f / d
+    )
 
 
 def thermal_factor(params: SystemParams, omega):

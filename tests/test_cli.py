@@ -110,6 +110,28 @@ class TestConfig:
         p = cli.build_params(_Namespace(wavelength=780e-9))
         assert p.omega_c == pytest.approx(2 * math.pi * 299792458.0 / 780e-9)
 
+    def test_backaction_weight_flag_and_config_line(self, capsys, tmp_path, monkeypatch):
+        # the flag and the config key both reach SystemParams; "kappa"
+        # changes the inferred drive, so it changes the entanglement rows
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        cfg = tmp_path / "kappa.cfg"
+        cfg.write_text("backaction_weight = kappa\n")
+        assert cli.build_params(_Namespace(config=str(cfg))).backaction_weight == "kappa"
+        argv = ["entangle", "--case", "1", "--g", "25", "--points", "5"]
+        _, delta, _ = run_cli(capsys, *argv)
+        code, flag, _ = run_cli(capsys, *argv, "--backaction-weight", "kappa")
+        assert code == cli.EXIT_OK
+        _, line, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert flag == line != delta
+
+    def test_bad_backaction_weight_is_config_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("backaction_weight = bogus\n")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and "'bogus'" in err
+
 
 class _Namespace:
     """argparse.Namespace stand-in returning None for unset flags."""
@@ -279,6 +301,22 @@ class TestVerifyCommand:
         code1, _, _ = run_cli(capsys, "verify", "--seed", "42", "--points", "25")
         code2, _, _ = run_cli(capsys, "verify", "--seed", "43", "--points", "25")
         assert code1 == 0 and code2 == 0
+
+    def test_nan_lyapunov_row_fails_the_check(self, monkeypatch):
+        # a system that fails inside the stack comes back NaN; the check
+        # must report it, not skip it
+        from atomoptomech import selfcheck
+
+        solve = selfcheck.steady_covariance
+
+        def one_nan(ds):
+            v = solve(ds)
+            v[3] = np.nan
+            return v
+
+        monkeypatch.setattr(selfcheck, "steady_covariance", one_nan)
+        _, passed, detail = selfcheck.check_lyapunov_residuals()
+        assert not passed and detail.endswith("nan")
 
     def test_perturbed_closed_form_fails(self):
         # mutation sanity: a deliberately perturbed coefficient must trip

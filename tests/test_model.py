@@ -66,6 +66,18 @@ class TestDerivedCouplings:
         assert drive == pytest.approx(1e9 / math.sqrt(p.n_atoms))
         assert delta_a == 2e8
 
+    def test_kappa_backaction_weight(self, default_params):
+        # "kappa" weights the backaction in the inferred drive by the
+        # linewidth, while delta_a keeps the detuning-weighted Lorentzian
+        p = default_params.replace(backaction_weight="kappa")
+        g, k, dl, e = p.coupling_G, p.kappa, p.delta, 0.25
+        drive, delta_a = infer_drive(p, e)
+        want = (p.gamma_a + g**2 * k / (k**2 + dl**2) * (1.0 - e)) / p.gamma_r
+        assert drive == pytest.approx(want, rel=1e-14)
+        lor = g**2 * dl / (k**2 + dl**2)
+        assert delta_a == pytest.approx(p.delta_r * drive + lor * (1.0 - 2.0 * e), rel=1e-12)
+        assert drive != infer_drive(default_params, e)[0]
+
     def test_deterministic(self, steady_case1):
         p, ss, _ = steady_case1
         a = am.derive_couplings(p, ss)

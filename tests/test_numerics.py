@@ -3,8 +3,9 @@ import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
 
 import atomoptomech as am
-from atomoptomech._kernels import _quartic_roots, lu_solve, routh_flags
-from atomoptomech.numerics import LYAPUNOV_CHUNK, PIVOT_TOL
+from atomoptomech.entanglement import is_stable
+from atomoptomech.numerics import LYAPUNOV_CHUNK, PIVOT_TOL, lu_solve
+from atomoptomech.steadystate import _quartic_roots
 
 
 class TestSolveComplex:
@@ -133,7 +134,7 @@ class TestCharPoly:
         js -= (shift + margin)[:, None, None] * np.eye(6)
         coeffs = am.char_poly(js)
         assert coeffs.shape == (200, 7)
-        stable, marginal = routh_flags(coeffs)
+        stable, marginal = am.routh_hurwitz_flags(coeffs)
         assert stable.tolist() == [eig_stable(j) for j in js]
         assert not marginal.any()
         for k in range(0, 200, 25):
@@ -153,6 +154,13 @@ class TestRouthHurwitz:
         coeffs = np.convolve([1.0, 0.0, 1.0], poly_from_eigs(-np.eye(4)))
         stable, marginal = am.routh_hurwitz_flags(coeffs)
         assert marginal
+        assert not stable
+
+    @pytest.mark.parametrize("delta,want", [(5e-15, (False, True)), (2e-14, (True, False))])
+    def test_marginal_threshold_each_side(self, delta, want):
+        # s^3 + s^2 + s + (1 - delta): the third first-column entry is delta,
+        # on either side of the 1e-14 * scale threshold (scale 1)
+        assert am.routh_hurwitz_flags([1.0, 1.0, 1.0, 1.0 - delta]) == want
 
     def test_flags_of_a_stack(self):
         # a stack of coefficient rows gives two bool arrays, row by row the
@@ -213,6 +221,20 @@ class TestLyapunov:
     def test_unstable_raises(self):
         with pytest.raises(am.UnstableDrift):
             am.lyapunov_solve(np.eye(6), np.eye(6))
+
+    def test_imaginary_axis_pair_is_unstable(self):
+        # a rotation block puts eigenvalues +-i on the imaginary axis: the
+        # drift is not Hurwitz, so it fails is_stable and the solve, alone
+        # or in a stack
+        j = -np.eye(6)
+        j[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+        d = np.eye(6)
+        assert not is_stable(am.DriftSystem(j=j, d=d))
+        with pytest.raises(am.UnstableDrift):
+            am.lyapunov_solve(j, d)
+        v = am.lyapunov_solve(np.stack([-np.eye(6), j]), np.stack([d, d]))
+        assert np.array_equal(v[0], 0.5 * np.eye(6))
+        assert np.all(np.isnan(v[1]))
 
     def test_stack_matches_single_solves(self):
         # more systems than one LU chunk; every fifth drift keeps a

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import atomoptomech as am
-from atomoptomech._kernels import beta_roots
+from atomoptomech.steadystate import beta_roots
 
 
 class TestSolveBeta:
