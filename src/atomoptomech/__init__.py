@@ -9,6 +9,7 @@ Routh-Hurwitz stability and steady-state optomechanical entanglement
 from .entanglement import (
     DriftSystem,
     EntanglementResult,
+    EntanglementTable,
     build_drift,
     detuning_sweep,
     entanglement_at,
@@ -36,9 +37,7 @@ from .params import (
     validate,
 )
 from .spectrum import (
-    FluctuationMatrix,
     PoleAtOmega,
-    SpectrumPoint,
     SpectrumTable,
     TransferCoefficients,
     build_matrix,
@@ -62,12 +61,11 @@ __all__ = [
     "SystemParams",
     "DerivedCouplings",
     "SteadyState",
-    "FluctuationMatrix",
     "TransferCoefficients",
-    "SpectrumPoint",
     "SpectrumTable",
     "DriftSystem",
     "EntanglementResult",
+    "EntanglementTable",
     "derive_couplings",
     "single_photon_coupling",
     "validate",

@@ -202,39 +202,49 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def spectrum_csv(table) -> str:
-    header = "omega_over_omega_m," + ",".join(f"s_out_g{g:g}" for g in table.g_over_kappa)
-    lines = [header]
-    for i, x in enumerate(table.omega_over_omega_m):
-        cells = [_fmt(x)]
-        for j in range(len(table.g_over_kappa)):
-            v = table.s_out[i, j]
-            cells.append("" if not math.isfinite(v) else _fmt(v))
-        lines.append(",".join(cells))
+def _csv(header, columns) -> str:
+    """CSV text of equal-length columns, one row at a time: numbers to 12
+    significant digits, NaN as an empty cell, strings as they are."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(
+            ",".join(v if isinstance(v, str) else _fmt(v) if math.isfinite(v) else "" for v in row)
+        )
     return "\n".join(lines) + "\n"
+
+
+def spectrum_csv(table) -> str:
+    header = ["omega_over_omega_m"] + [f"s_out_g{g:g}" for g in table.g_over_kappa]
+    return _csv(header, [table.omega_over_omega_m, *table.s_out.T])
 
 
 def _spectrum_svg(table, title="") -> str:
-    series = [[v if math.isfinite(v) else None for v in col] for col in table.s_out.T]
     labels = [f"G = {g:g} kappa" for g in table.g_over_kappa]
-    xs = list(table.omega_over_omega_m)
-    return line_plot(xs, series, labels, "omega / omega_m", "S_out", title=title)
+    return line_plot(
+        table.omega_over_omega_m, table.s_out.T, labels, "omega / omega_m", "S_out", title=title
+    )
 
 
-def entangle_csv(rows) -> str:
-    lines = ["delta_over_omega_m,stable,e_n,nu"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.delta_over_omega_m),
-                    "true" if r.stable else "false",
-                    "" if r.e_n is None else _fmt(r.e_n),
-                    "" if r.nu is None else _fmt(r.nu),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def entangle_csv(table) -> str:
+    stable = ["true" if s else "false" for s in table.stable]
+    return _csv(
+        ["delta_over_omega_m", "stable", "e_n", "nu"],
+        [table.delta_over_omega_m, stable, table.e_n, table.nu],
+    )
+
+
+def _emit(args, csv_text: str, svg) -> int:
+    """Write the CSV to ``--out`` (stdout without it), and the plot that
+    ``svg()`` renders to ``--svg`` when that is given."""
+    if args.out:
+        _write_text(args.out, csv_text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(csv_text)
+    if args.svg:
+        _write_text(args.svg, svg())
+        print(f"wrote {args.svg}")
+    return EXIT_OK
 
 
 def cmd_steady(args) -> int:
@@ -272,41 +282,22 @@ def cmd_spectrum(args) -> int:
     params = _run_config(args, args.out, args.svg)
     table = spectrum_sweep(
         params,
-        (params.delta_r, params.gamma_r),
         tuple(args.g) if args.g else (25.0, 50.0, 75.0, 100.0),
         np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m,
     )
-    text = spectrum_csv(table)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.svg:
-        _write_text(args.svg, _spectrum_svg(table))
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+    return _emit(args, spectrum_csv(table), lambda: _spectrum_svg(table))
 
 
 def cmd_entangle(args) -> int:
     params = _run_config(args, args.out, args.svg)
-    rows = detuning_sweep(
-        params,
-        (params.delta_r, params.gamma_r),
-        args.g if args.g is not None else params.coupling_G / params.kappa,
-        np.linspace(args.delta_min, args.delta_max, args.points) * params.omega_m,
+    table = detuning_sweep(
+        params, np.linspace(args.delta_min, args.delta_max, args.points) * params.omega_m
     )
-    text = entangle_csv(rows)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.svg:
-        xs, ys = [r.delta_over_omega_m for r in rows], [[r.e_n for r in rows]]
-        _write_text(args.svg, line_plot(xs, ys, ["E_N"], "Delta / omega_m", "E_N"))
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+    return _emit(
+        args,
+        entangle_csv(table),
+        lambda: line_plot(table.delta_over_omega_m, [table.e_n], ["E_N"], "Delta / omega_m", "E_N"),
+    )
 
 
 def _reproduce_fig2(params, outdir, points):
@@ -314,7 +305,7 @@ def _reproduce_fig2(params, outdir, points):
     for tag, case in (("a", (1.0, 1.0)), ("b", (2.5, 2.5)), ("c", (8.0, 8.0))):
         p = params.replace(delta=-params.omega_m)
         grid = np.linspace(0.5, 1.5, points) * p.omega_m
-        table = spectrum_sweep(p, case, (25.0, 50.0, 75.0, 100.0), grid)
+        table = spectrum_sweep(p.with_case(*case), (25.0, 50.0, 75.0, 100.0), grid)
         csv_path = os.path.join(outdir, f"fig2{tag}.csv")
         _write_text(csv_path, spectrum_csv(table))
         svg_path = os.path.join(outdir, f"fig2{tag}.svg")
@@ -323,27 +314,17 @@ def _reproduce_fig2(params, outdir, points):
     return files
 
 
-def _entangle_columns_csv(xs, columns, labels) -> str:
-    lines = ["delta_over_omega_m," + ",".join(labels)]
-    for i, x in enumerate(xs):
-        cells = [_fmt(x)]
-        for col in columns:
-            v = col[i]
-            cells.append("" if v is None else _fmt(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _entangle_panels(fig, params, outdir, points, columns):
     """One CSV and one SVG of E_N per G panel; ``columns`` holds a
-    (CSV label, legend, params, (delta_r, gamma_r)) per curve."""
+    (CSV label, legend, params) per curve."""
     files = []
     grid = np.linspace(0.0, 3.0, points) * params.omega_m
-    xs = [d / params.omega_m for d in grid]
+    xs = grid / params.omega_m
     for tag, g in (("a", 25.0), ("b", 100.0)):
-        cols = [[r.e_n for r in detuning_sweep(p, case, g, grid)] for _, _, p, case in columns]
+        cols = [detuning_sweep(p.replace(coupling_G=g * p.kappa), grid).e_n for _, _, p in columns]
         csv_path = os.path.join(outdir, f"{fig}{tag}.csv")
-        _write_text(csv_path, _entangle_columns_csv(xs, cols, [c[0] for c in columns]))
+        header = ["delta_over_omega_m"] + [c[0] for c in columns]
+        _write_text(csv_path, _csv(header, [xs, *cols]))
         svg_path = os.path.join(outdir, f"{fig}{tag}.svg")
         legends = [c[1] for c in columns]
         title = f"panel {tag}: G = {g:g} kappa"
@@ -354,7 +335,7 @@ def _entangle_panels(fig, params, outdir, points, columns):
 
 def _reproduce_fig3(params, outdir, points):
     cases = (("1", (1.0, 1.0)), ("8", (8.0, 8.0)))
-    columns = [(f"e_n_case{t}", f"delta_r = gamma_r = {t}", params, c) for t, c in cases]
+    columns = [(f"e_n_case{t}", f"delta_r = gamma_r = {t}", params.with_case(*c)) for t, c in cases]
     return _entangle_panels("fig3", params, outdir, points, columns)
 
 
@@ -362,7 +343,7 @@ def _reproduce_fig4(params, outdir, points):
     columns = []
     for n_atoms in (1e6, 1e7):
         label = f"e_n_n{n_atoms:.0e}".replace("+0", "")
-        columns.append((label, label, params.replace(n_atoms=n_atoms), (1.0, 1.0)))
+        columns.append((label, label, params.replace(n_atoms=n_atoms).with_case(1.0, 1.0)))
     return _entangle_panels("fig4", params, outdir, points, columns)
 
 

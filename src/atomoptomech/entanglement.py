@@ -7,6 +7,10 @@ Lyapunov equation, and the logarithmic negativity of the mirror-cavity
 bipartition follows from the smallest symplectic eigenvalue of the
 partially transposed reduced covariance.
 
+A sweep gives an :class:`EntanglementTable` of arrays with NaN at the
+unstable points, as the spectrum sweep has NaN at its poles; a single point
+gives an :class:`EntanglementResult`, with None where it is unstable.
+
 Convention: vacuum variance 1/2 per quadrature.
 """
 
@@ -39,6 +43,19 @@ class EntanglementResult:
     stable: bool
     e_n: float | None
     nu: float | None
+
+
+@dataclass(frozen=True)
+class EntanglementTable:
+    """Log-negativity over a detuning grid; NaN marks an unstable point."""
+
+    delta_over_omega_m: np.ndarray
+    e_n: np.ndarray
+    nu: np.ndarray
+
+    @property
+    def stable(self) -> np.ndarray:
+        return np.isfinite(self.nu)
 
 
 def build_drift(
@@ -104,8 +121,9 @@ def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> Entan
     return _result(delta_over_omega_m, symplectic_nu(np.asarray(v, dtype=float)[:4, :4]))
 
 
-def _entanglement_rows(points: list[SystemParams]) -> list[EntanglementResult]:
-    """Stability verdict and log-negativity at each parameter set's detuning.
+def _nu(points: list[SystemParams]) -> np.ndarray:
+    """Smallest symplectic eigenvalue at each parameter set's detuning, NaN
+    where the point is unstable.
 
     The drifts are built point by point and then solved as one stack.  A
     point without a steady state never reaches the Routh test: it is
@@ -123,25 +141,25 @@ def _entanglement_rows(points: list[SystemParams]) -> list[EntanglementResult]:
     if solved:
         stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
         nu[solved] = symplectic_nu(steady_covariance(stack)[:, :4, :4])
-    return [_result(p.delta / p.omega_m, x) for p, x in zip(points, nu)]
+    return nu
 
 
 def entanglement_at(params: SystemParams) -> EntanglementResult:
     """Stability check plus log-negativity at the parameters' detuning."""
-    return _entanglement_rows([params])[0]
+    return _result(params.delta / params.omega_m, _nu([params])[0])
 
 
-def detuning_sweep(
-    params: SystemParams,
-    case: tuple[float, float],
-    g: float,
-    delta_grid,
-) -> list[EntanglementResult]:
+def detuning_sweep(params: SystemParams, delta_grid) -> EntanglementTable:
     """Log-negativity over a grid of effective detunings, as one stack.
 
-    ``g`` is in units of kappa, ``delta_grid`` in rad/s.  Unstable points
-    are data (stable=False rows), not failures.
+    Everything but the detuning comes from ``params``; ``delta_grid`` is in
+    rad/s.  Unstable points are data (NaN in ``e_n`` and ``nu``), not
+    failures.
     """
-    delta_r, gamma_r = case
-    base = params.replace(delta_r=delta_r, gamma_r=gamma_r, coupling_G=g * params.kappa)
-    return _entanglement_rows([base.replace(delta=float(delta)) for delta in delta_grid])
+    delta_grid = np.asarray(list(delta_grid), dtype=float)
+    nu = _nu([params.replace(delta=float(delta)) for delta in delta_grid])
+    return EntanglementTable(
+        delta_over_omega_m=delta_grid / params.omega_m,
+        e_n=np.maximum(0.0, -np.log(2.0 * nu)),
+        nu=nu,
+    )

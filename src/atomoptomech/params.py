@@ -121,11 +121,12 @@ def validate(params: SystemParams) -> list[str]:
         val = getattr(params, name)
         if not math.isfinite(val) or val < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
-    for name in ("delta", "delta_r"):
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"{name} must be finite")
-    if params.n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {params.n_atoms!r}")
+    for name in ("delta", "delta_r", "chi", "delta_a"):
+        val = getattr(params, name)
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"{name} must be finite, got {val!r}")
+    if not math.isfinite(params.n_atoms) or params.n_atoms < 1:
+        raise ValueError(f"n_atoms must be finite and >= 1, got {params.n_atoms!r}")
     if params.backaction_weight not in ("delta", "kappa"):
         raise ValueError(
             f"backaction_weight must be 'delta' or 'kappa', got {params.backaction_weight!r}"

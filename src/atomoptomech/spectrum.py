@@ -11,7 +11,8 @@ frequency, and :func:`transfer_closed_form` holds the cofactor expressions,
 both straight from the parameters, couplings and steady state.  The LU route and
 the spectrum take one frequency or an array of them; an array is assembled
 into a stack of 6x6 systems and solved in one batched pass, with resonance
-poles coming back as NaN.
+poles coming back as NaN.  :func:`spectrum_sweep` keeps NaN as the mark of
+a pole, as the entanglement sweep does for an unstable point.
 """
 
 from __future__ import annotations
@@ -31,37 +32,15 @@ class PoleAtOmega(Exception):
 
 
 @dataclass(frozen=True)
-class FluctuationMatrix:
-    """6x6 frequency-domain system matrix plus its shorthand diagonal entries.
-
-    For an array of frequencies every field gains the array's leading shape.
-    """
-
-    omega: float | np.ndarray
-    a: np.ndarray
-    mu1: complex | np.ndarray
-    mu2: complex | np.ndarray
-    nu1: complex | np.ndarray
-    nu2: complex | np.ndarray
-
-
-@dataclass(frozen=True)
 class TransferCoefficients:
     """Coefficients of the output field on the five input noises (arrays
     when computed on an array of frequencies)."""
 
-    omega: float | np.ndarray
     a_c: complex | np.ndarray
     b_c: complex | np.ndarray
     c_c: complex | np.ndarray
     d_c: complex | np.ndarray
     f_c: complex | np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    omega_over_omega_m: float | np.ndarray
-    s_out: float | np.ndarray
 
 
 def _omega(omega):
@@ -71,14 +50,13 @@ def _omega(omega):
 
 def build_matrix(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
-) -> FluctuationMatrix:
+) -> np.ndarray:
     """Assemble the 6x6 fluctuation matrix at angular frequency ``omega``;
     an array of frequencies gives a stack of shape ``omega.shape + (6, 6)``.
 
     Basis order: intracavity field, its conjugate, collective atomic mode,
     its conjugate, mirror position, mirror momentum.
     """
-    omega = _omega(omega)
     kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
     delta_a_prime, wm, gm = couplings.delta_a_prime, params.omega_m, params.gamma_m
     g1, g2, g3 = complex(couplings.g1), complex(couplings.g2), complex(couplings.g3)
@@ -111,17 +89,10 @@ def build_matrix(
     a[..., 5, 1] = -g0cs
     a[..., 5, 4] = wm
     a[..., 5, 5] = gm - 1j * w
-    return FluctuationMatrix(
-        omega=omega,
-        a=a,
-        mu1=a[..., 0, 0],
-        mu2=a[..., 1, 1],
-        nu1=a[..., 2, 2],
-        nu2=a[..., 3, 3],
-    )
+    return a
 
 
-def _output_map(params: SystemParams, omega, m11, m12, m13, m14, m16):
+def _output_map(params: SystemParams, m11, m12, m13, m14, m16):
     """Map the first row of the inverse system matrix to output coefficients.
 
     The intracavity coefficients pick up the noise prefactors sqrt(2 kappa)
@@ -136,7 +107,6 @@ def _output_map(params: SystemParams, omega, m11, m12, m13, m14, m16):
     d_p = sg * m14
     f_p = m16
     return TransferCoefficients(
-        omega=omega,
         a_c=sk * a_p - 1.0,
         b_c=sk * b_p,
         c_c=sk * c_p,
@@ -161,11 +131,11 @@ def transfer_direct(
     # The stack is handed over unnamed, so once solve_complex has taken its
     # scratch copy the original is freed: a sweep holds one stack, not two.
     try:
-        row = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, omega).a, -1, -2), e1)
+        row = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, omega), -1, -2), e1)
     except SingularMatrix as exc:
         raise PoleAtOmega(f"system matrix singular at omega={omega!r}") from exc
     m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
-    return _output_map(params, omega, m11, m12, m13, m14, m16)
+    return _output_map(params, m11, m12, m13, m14, m16)
 
 
 def transfer_closed_form(
@@ -273,7 +243,7 @@ def transfer_closed_form(
     if abs(d) < 1e-300 * scale:
         raise PoleAtOmega(f"denominator vanished at omega={w!r}")
     return _output_map(
-        params, w, br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 1j * g0 * wm * br_f / d
+        params, br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 1j * g0 * wm * br_f / d
     )
 
 
@@ -298,7 +268,7 @@ def thermal_factor(params: SystemParams, omega):
 
 def output_spectrum(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
-) -> SpectrumPoint:
+) -> float | np.ndarray:
     """Normalized intensity noise of the output field at ``omega``.
 
     1 is the shot-noise floor, values below 1 mean squeezing, 0 complete
@@ -322,7 +292,7 @@ def output_spectrum(
     )
     # The expression is a variance and non-negative by the triangle
     # inequality; clamp the rounding epsilon at complete-squeezing points.
-    return SpectrumPoint(omega_over_omega_m=omega / params.omega_m, s_out=np.maximum(0.0, s))
+    return np.maximum(0.0, s)
 
 
 @dataclass(frozen=True)
@@ -334,27 +304,22 @@ class SpectrumTable:
     s_out: np.ndarray  # shape (n_omega, n_g)
 
 
-def spectrum_sweep(
-    params: SystemParams,
-    case: tuple[float, float],
-    g_values,
-    omega_grid,
-) -> SpectrumTable:
+def spectrum_sweep(params: SystemParams, g_values, omega_grid) -> SpectrumTable:
     """Spectra for several coupling strengths over a frequency grid.
 
-    ``g_values`` are in units of kappa, ``omega_grid`` in rad/s.  The
-    steady state is recomputed once per coupling value, and each column is
-    one array call of :func:`output_spectrum`.  Rows where the system
-    matrix is singular are recorded as NaN.
+    Everything but the coupling comes from ``params``; ``g_values`` are in
+    units of kappa, ``omega_grid`` in rad/s.  The steady state is
+    recomputed once per coupling value, and each column is one array call
+    of :func:`output_spectrum`.  Rows where the system matrix is singular
+    are recorded as NaN.
     """
-    delta_r, gamma_r = case
     omega_grid = np.asarray(list(omega_grid), dtype=float)
     g_values = tuple(g_values)
     out = np.full((len(omega_grid), len(g_values)), np.nan)
     for col, gk in enumerate(g_values):
-        p = params.replace(delta_r=delta_r, gamma_r=gamma_r, coupling_G=gk * params.kappa)
+        p = params.replace(coupling_G=gk * params.kappa)
         ss = fixed_point(p)
-        out[:, col] = output_spectrum(p, derive_couplings(p, ss), ss, omega_grid).s_out
+        out[:, col] = output_spectrum(p, derive_couplings(p, ss), ss, omega_grid)
     return SpectrumTable(
         omega_over_omega_m=omega_grid / params.omega_m,
         g_over_kappa=g_values,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -17,9 +18,9 @@ def _ticks(lo, hi, n=5):
 def line_plot(x, series, labels, xlabel, ylabel, title=""):
     """Render one polyline per series over a shared x grid; returns SVG text.
 
-    ``series`` is a list of y-lists; None/NaN entries break the polyline.
+    ``series`` is a sequence of y-sequences; NaN entries break the polyline.
     """
-    finite = [v for ys in series for v in ys if v is not None and math.isfinite(v)]
+    finite = [v for ys in series for v in ys if math.isfinite(v)]
     if not finite or not len(x):
         xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     else:
@@ -66,22 +67,14 @@ def line_plot(x, series, labels, xlabel, ylabel, title=""):
 
     for k, (ys, label) in enumerate(zip(series, labels)):
         color = _COLORS[k % len(_COLORS)]
-        segment = []
-        segments = []
-        for xv, yv in zip(x, ys):
-            if yv is None or not math.isfinite(yv):
-                if len(segment) > 1:
-                    segments.append(segment)
-                segment = []
-            else:
-                segment.append(f"{px(xv):.2f},{py(yv):.2f}")
-        if len(segment) > 1:
-            segments.append(segment)
-        for seg in segments:
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(seg)}"/>'
-            )
+        # Each run of finite points of two or more is one polyline.
+        for finite_run, run in itertools.groupby(zip(x, ys), key=lambda xy: math.isfinite(xy[1])):
+            seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if finite_run else []
+            if len(seg) > 1:
+                parts.append(
+                    f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                    f'points="{" ".join(seg)}"/>'
+                )
         parts.append(
             f'<text x="{_W-_MR-8}" y="{_MT + 16 + 16*k}" text-anchor="end" '
             f'fill="{color}">{label}</text>'

@@ -32,7 +32,7 @@ def _refined_min(params, couplings, ss, grid, rounds=6, width=2, sub=81):
     """Minimum of the spectrum over the grid, with local refinement around
     the coarse argmin (the squeezing dips are much narrower than the panel
     grid spacing)."""
-    vals = am.output_spectrum(params, couplings, ss, grid).s_out
+    vals = am.output_spectrum(params, couplings, ss, grid)
     # a pole comes back as NaN from an array call; it must still fail here
     assert np.all(np.isfinite(vals))
     i = int(np.argmin(vals))
@@ -41,7 +41,7 @@ def _refined_min(params, couplings, ss, grid, rounds=6, width=2, sub=81):
     best = float(vals[i])
     for _ in range(rounds):
         xs = np.linspace(lo, hi, sub)
-        sv = am.output_spectrum(params, couplings, ss, xs).s_out
+        sv = am.output_spectrum(params, couplings, ss, xs)
         assert np.all(np.isfinite(sv))
         j = int(np.argmin(sv))
         best = min(best, float(sv[j]))
@@ -64,12 +64,13 @@ def _panel_minima(case, g_list, points=2000):
     return out
 
 
-def _peak(rows):
-    best = None
-    for r in rows:
-        if r.e_n is not None and (best is None or r.e_n > best.e_n):
-            best = r
-    return best
+def _peak(table):
+    """The row of a detuning sweep with the largest E_N (the first one, on
+    a tie), or None when no point is stable."""
+    if not np.any(table.stable):
+        return None
+    i = int(np.nanargmax(table.e_n))
+    return am.EntanglementResult(table.delta_over_omega_m[i], True, table.e_n[i], table.nu[i])
 
 
 def test_criterion_1_steady_state_excitations():
@@ -119,7 +120,7 @@ def test_criterion_3_shot_noise_floor():
     ss = am.fixed_point(p)
     cpl = am.derive_couplings(p, ss)
     devs = [
-        abs(am.output_spectrum(p, cpl, ss, w).s_out - 1.0)
+        abs(am.output_spectrum(p, cpl, ss, w) - 1.0)
         for w in np.linspace(0.5, 1.5, 100) * p.omega_m
     ]
     ok = max(devs) <= 1e-10
@@ -148,10 +149,11 @@ def test_criterion_4_squeezing_panels():
 
 def test_criterion_5_entanglement_peak():
     p = am.SystemParams(n_thermal=0.0)
+    p = p.replace(coupling_G=25.0 * p.kappa)
     grid = np.linspace(0.0, 3.0, 500) * p.omega_m
     t0 = time.perf_counter()
-    rows_high = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid)
-    rows_low = am.detuning_sweep(p, (8.0, 8.0), 25.0, grid)
+    rows_high = am.detuning_sweep(p.with_case(1.0, 1.0), grid)
+    rows_low = am.detuning_sweep(p.with_case(8.0, 8.0), grid)
     elapsed = time.perf_counter() - t0
     peak = _peak(rows_high)
     peak_low = _peak(rows_low)
@@ -175,7 +177,8 @@ def test_criterion_6_atom_number_coincidence():
     grid = np.linspace(0.0, 3.0, 500) * p.omega_m
     peaks = {}
     for n_atoms in (1e6, 1e7):
-        rows = am.detuning_sweep(p.replace(n_atoms=n_atoms), (1.0, 1.0), 100.0, grid)
+        p_n = p.replace(n_atoms=n_atoms, coupling_G=100.0 * p.kappa).with_case(1.0, 1.0)
+        rows = am.detuning_sweep(p_n, grid)
         peaks[n_atoms] = _peak(rows)
     p6, p7 = peaks[1e6], peaks[1e7]
     ok = (

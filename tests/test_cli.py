@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import atomoptomech as am
 from atomoptomech import cli
+from atomoptomech.svg import line_plot
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +171,11 @@ class TestSteadyCommand:
         assert "|beta|^2" in out
         assert "branches" in out
 
+    def test_nan_atom_number_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "steady", "--n-atoms", "nan")
+        assert code == cli.EXIT_CONFIG
+        assert "n_atoms" in err and out == ""
+
     def test_config_error_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kappa = nope\n")
@@ -241,6 +248,22 @@ class TestEntangleCommand:
         assert len(lines) == 4
         assert all(line.split(",")[1:] == ["false", "", ""] for line in lines[1:])
         assert "Traceback" not in out + err
+
+
+class TestLinePlot:
+    def test_nan_breaks_the_polyline(self):
+        svg = line_plot([0, 1, 2, 3, 4], [[1.0, 2.0, np.nan, 3.0, 4.0]], ["y"], "x", "y")
+        assert svg.count("<polyline") == 2
+
+    def test_all_nan_series_draws_nothing(self):
+        svg = line_plot([0, 1, 2], [[np.nan] * 3], ["y"], "x", "y")
+        assert "<polyline" not in svg
+
+    def test_y_ticks_from_finite_values_only(self):
+        svg = line_plot([0, 1, 2, 3, 4], [[1.0, 2.0, np.nan, 3.0, 4.0]], ["y"], "x", "y")
+        # the finite range 1..4, padded by 5% on each side
+        ticks = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+        assert ticks == ["0.85", "1.68", "2.5", "3.33", "4.15"]
 
 
 class TestReproduceCommand:
@@ -316,6 +339,32 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(selfcheck, "steady_covariance", one_nan)
         _, passed, detail = selfcheck.check_lyapunov_residuals()
+        assert not passed and detail.endswith("nan")
+
+    def test_nan_closed_form_route_fails_the_check(self):
+        # a NaN coefficient among finite ones must fail the check, not be
+        # dropped by the fold over the worst error
+        from dataclasses import replace
+
+        from atomoptomech.selfcheck import check_transfer_equivalence
+
+        def nan_a_c(params, couplings, ss, omega):
+            t = am.transfer_closed_form(params, couplings, ss, omega)
+            return replace(t, a_c=complex("nan"))
+
+        _, passed, detail = check_transfer_equivalence(n_points=20, seed=3, closed_form=nan_a_c)
+        assert not passed and detail.endswith("nan")
+
+    def test_nan_root_residual_fails_the_check(self, monkeypatch):
+        from atomoptomech import selfcheck
+
+        equation = selfcheck.excitation_equation
+
+        def nan_at_case_2p5(beta, dr, gr):
+            return complex("nan") if dr == 2.5 else equation(beta, dr, gr)
+
+        monkeypatch.setattr(selfcheck, "excitation_equation", nan_at_case_2p5)
+        _, passed, detail = selfcheck.check_root_residuals()
         assert not passed and detail.endswith("nan")
 
     def test_perturbed_closed_form_fails(self):

@@ -69,7 +69,7 @@ class TestBuildDrift:
         # the same dynamics: identical eigenvalue sets
         p, ss, cpl = steady_case1
         ds = am.build_drift(p, cpl, ss)
-        a0 = am.build_matrix(p, cpl, ss, 0.0).a
+        a0 = am.build_matrix(p, cpl, ss, 0.0)
         m = -a0
         m[4, :] = -m[4, :]  # the position row of the system matrix is sign-flipped
         ev_j = np.linalg.eigvals(ds.j.astype(complex))
@@ -206,33 +206,38 @@ class TestLogNegativity:
 
 class TestDetuningSweep:
     def test_empty_grid(self, default_params):
-        assert am.detuning_sweep(default_params, (1.0, 1.0), 25.0, []) == []
+        table = am.detuning_sweep(default_params, [])
+        assert table.delta_over_omega_m.shape == table.e_n.shape == table.nu.shape == (0,)
 
     def test_rows_have_detunings_and_flags(self, default_params):
         p = default_params
         grid = np.linspace(0.2, 2.0, 7) * p.omega_m
-        rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid)
-        assert [r.delta_over_omega_m for r in rows] == pytest.approx(list(grid / p.omega_m))
-        for r in rows:
-            if r.stable:
-                assert r.e_n is not None and r.e_n >= 0.0
-                assert r.nu is not None
-            else:
-                assert r.e_n is None and r.nu is None
+        table = am.detuning_sweep(p, grid)
+        assert table.delta_over_omega_m == pytest.approx(grid / p.omega_m)
+        stable = table.stable
+        assert np.all(table.e_n[stable] >= 0.0)
+        # NaN marks an unstable point in both columns, and only there
+        np.testing.assert_array_equal(np.isfinite(table.e_n), stable)
+        np.testing.assert_array_equal(np.isfinite(table.nu), stable)
 
     def test_matches_pointwise_entanglement_at(self, default_params):
         # the stacked sweep against batches of one, on a grid whose low
         # detunings are unstable
         p = default_params
         grid = np.linspace(0.0, 0.3, 13) * p.omega_m
-        rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, grid)
-        base = p.replace(delta_r=1.0, gamma_r=1.0, coupling_G=25.0 * p.kappa)
-        assert rows == [am.entanglement_at(base.replace(delta=float(d))) for d in grid]
-        stable = [r.stable for r in rows]
-        assert 0 < sum(stable) < len(rows)
+        table = am.detuning_sweep(p, grid)
+        rows = [am.entanglement_at(p.replace(delta=float(d))) for d in grid]
+        assert list(table.delta_over_omega_m) == [r.delta_over_omega_m for r in rows]
+        assert list(table.stable) == [r.stable for r in rows]
+        np.testing.assert_array_equal(table.nu, [np.nan if r.nu is None else r.nu for r in rows])
+        # the table takes the logarithm with np.log, a row with math.log:
+        # they may differ in the last bit
+        want_e_n = [np.nan if r.e_n is None else r.e_n for r in rows]
+        np.testing.assert_allclose(table.e_n, want_e_n, rtol=1e-14, atol=0.0)
+        assert 0 < sum(table.stable) < len(rows)
 
     def test_entanglement_dies_at_large_detuning(self, default_params):
         p = default_params
-        rows = am.detuning_sweep(p, (1.0, 1.0), 25.0, [8.0 * p.omega_m])
-        assert rows[0].stable
-        assert rows[0].e_n == pytest.approx(0.0, abs=1e-4)
+        table = am.detuning_sweep(p, [8.0 * p.omega_m])
+        assert table.stable[0]
+        assert table.e_n[0] == pytest.approx(0.0, abs=1e-4)

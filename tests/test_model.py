@@ -117,8 +117,14 @@ class TestValidate:
             ("gamma_a", float("nan")),
             ("mirror_mass", 0.0),
             ("n_atoms", 0.5),
+            ("n_atoms", float("nan")),
+            ("n_atoms", float("inf")),
             ("temperature", -1.0),
             ("delta", float("inf")),
+            ("chi", float("inf")),
+            ("chi", float("nan")),
+            ("delta_a", float("-inf")),
+            ("delta_a", float("nan")),
         ],
     )
     def test_rejects_bad_fields(self, default_params, field, value):

@@ -38,6 +38,23 @@ class TestSolveComplex:
         with pytest.raises(am.SingularMatrix):
             am.solve_complex(a, np.ones(6, dtype=complex))
 
+    @pytest.mark.parametrize("eps", [5e-15, 2e-14])
+    def test_pivot_threshold_each_side(self, eps):
+        # diag(1, eps) has row-sum norm 1, so its last pivot eps lies on
+        # either side of PIVOT_TOL * ||a||_inf = 1e-14
+        a = np.diag([1.0, eps]).astype(complex)
+        b = np.ones(2, dtype=complex)
+        stack = am.solve_complex(np.stack([np.eye(2), a]), np.stack([b, b]))
+        np.testing.assert_array_equal(stack[0], b)
+        if eps <= PIVOT_TOL:
+            with pytest.raises(am.SingularMatrix):
+                am.solve_complex(a, b)
+            assert np.all(np.isnan(stack[1]))
+        else:
+            x = am.solve_complex(a, b)
+            np.testing.assert_allclose(x, [1.0, 1.0 / eps], rtol=1e-15)
+            np.testing.assert_array_equal(stack[1], x)
+
     def test_stack_matches_oracle_and_flags_singular(self):
         # one batched pass over a stack against a per-system oracle; the
         # system in the middle has a zero column, so its pivot is exactly
