@@ -68,10 +68,6 @@ def _run_config(args, *paths) -> SystemParams:
     return params
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 def parse_config_file(path: str) -> dict:
     """Flat key = value config (SI units, SystemParams field names)."""
     allowed = set(param_names()) | {"backaction_weight", "wavelength"}
@@ -203,14 +199,14 @@ def _write_text(path: str, text: str):
 
 
 def _csv(header, columns) -> str:
-    """CSV text of equal-length columns, one row at a time: numbers to 12
-    significant digits, NaN as an empty cell, strings as they are."""
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(
-            ",".join(v if isinstance(v, str) else _fmt(v) if math.isfinite(v) else "" for v in row)
-        )
-    return "\n".join(lines) + "\n"
+    """CSV text of equal-length columns, formatted a column at a time:
+    numbers to 12 significant digits, NaN and inf as an empty cell, strings
+    as they are."""
+    cells = [
+        [v if isinstance(v, str) else "%.12g" % v if math.isfinite(v) else "" for v in values]
+        for values in (np.asarray(c).tolist() for c in columns)
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 def spectrum_csv(table) -> str:

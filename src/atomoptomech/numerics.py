@@ -1,8 +1,8 @@
 """Small dense numerical routines sized for this problem.
 
-A batched pivoted LU, :func:`lu_solve`, solves a stack of systems, each of
-its pivot steps one set of NumPy operations across the rows and the batch.
-It serves the complex 6x6 spectrum solves and the Lyapunov solve, which
+A batched pivoted LU, :func:`lu_solve`, solves a stack of systems held
+batch-last, so each of its pivot steps is one set of NumPy operations over
+contiguous rows of the batch.  It serves the complex 6x6 spectrum solves and the Lyapunov solve, which
 runs Routh-Hurwitz stability on Faddeev-LeVerrier characteristic
 polynomials and then solves the 21x21 half-vectorized system of the
 symmetric covariance's independent entries.  The smallest symplectic
@@ -37,43 +37,58 @@ class InvalidCovariance(Exception):
 
 
 PIVOT_TOL = 1e-14
-# Lyapunov systems per lu_solve call: a 500-point sweep in one call would
-# add ~3 MiB of peak memory for a few ms less.
+# Lyapunov systems per lu_solve call: the 486 stable systems of a 500-point
+# sweep in one call would take 3.2 MiB more peak memory (0.9 -> 4.1 MiB
+# under tracemalloc) for ~10 ms less (18 -> 8 ms, one core of a 2-core VM).
 LYAPUNOV_CHUNK = 48
 
 
 def lu_solve(a, b):
-    """Solve ``a[s] @ x[s] = b[s]`` for every system ``s`` of a stack by LU
-    with partial pivoting, in place.
+    """Solve ``a[..., s] @ x[..., s] = b[..., s]`` for every system ``s`` of
+    a stack by LU with partial pivoting, in place.
 
-    ``a`` is (batch, n, n) and ``b`` is (batch, n), scratch copies owned by
-    the caller.  Returns ``(x, min_pivot, max_norm)``, the last two per
-    system; the caller decides what pivot magnitude counts as singular.  A
-    system whose pivot is exactly zero gets min_pivot = 0 and a garbage x.
+    The batch is the last axis: ``a`` is (n, n, batch) and ``b`` is
+    (n, batch), C-contiguous scratch copies owned by the caller, so each
+    pivot step runs over contiguous rows of the batch.  Returns
+    ``(x, min_pivot, max_norm)``: x is ``b`` itself, and the other two are
+    per system; the caller decides what pivot magnitude counts as singular.
+    A system whose pivot is exactly zero gets min_pivot = 0 and a garbage x.
     """
-    batch, n = b.shape
+    if not (a.flags.c_contiguous and b.flags.c_contiguous):
+        raise ValueError("lu_solve works in place on C-contiguous arrays")
+    n, batch = b.shape
     systems = np.arange(batch)
-    anorm = np.abs(a).sum(axis=2).max(axis=1)
+    # Flat index of entry (0, j, s) of a for the columns j of each step.
+    cols = np.arange(n)[:, None] * batch + systems
+    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+    anorm = np.abs(a).sum(axis=1).max(axis=0)
     min_pivot = np.full(batch, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
-            mag = np.abs(a[:, k:, k])
-            piv = k + np.argmax(mag, axis=1)
+            mag = np.abs(a[k:, k])
+            piv = k + np.argmax(mag, axis=0)
             # fmin skips NaN, so a zero pivot stays recorded when the
             # elimination after it turns that system into NaN.
-            min_pivot = np.fmin(min_pivot, mag.max(axis=1))
-            a[systems, k], a[systems, piv] = a[systems, piv], a[systems, k]
-            b[systems, k], b[systems, piv] = b[systems, piv], b[systems, k]
-            f = a[:, k + 1 :, k] / a[:, k, k, None]
-            a[:, k + 1 :, k + 1 :] -= f[:, :, None] * a[:, None, k, k + 1 :]
-            b[:, k + 1 :] -= f * b[:, k, None]
+            min_pivot = np.fmin(min_pivot, mag.max(axis=0))
+            # Swap row k with each system's pivot row from column k on
+            # (the columns before it are no longer read), by flat index.
+            rows = piv * (n * batch) + cols[k:]
+            a[k, k:], flat_a[rows] = flat_a[rows], a[k, k:].copy()
+            rows = piv * batch + systems
+            b[k], flat_b[rows] = flat_b[rows], b[k].copy()
+            # Operands of one number of axes: a one-element complex product
+            # broadcast over a prepended axis skips NumPy's FMA loop, so a
+            # batch of one would round unlike a stack.
+            f = a[k + 1 :, k] / a[k, None, k]
+            a[k + 1 :, k + 1 :] -= f[:, None] * a[k, None, k + 1 :]
+            b[k + 1 :] -= f * b[k, None]
         # Back substitution subtracts each row's terms one after another in
-        # column order (subtract.reduce is a left fold, not a pairwise sum),
-        # so a system rounds the same whatever its size or batch.
+        # column order (subtract.reduce over the leading axis is a left
+        # fold), so a system rounds the same whatever its size or batch.
         for i in range(n - 1, -1, -1):
-            terms = a[:, i, i + 1 :] * b[:, i + 1 :]
-            s = np.subtract.reduce(np.concatenate((b[:, i, None], terms), axis=1), axis=1)
-            b[:, i] = s / a[:, i, i]
+            terms = a[i, i + 1 :] * b[i + 1 :]
+            s = np.subtract.reduce(np.concatenate((b[i, None], terms)), axis=0)
+            b[i] = s / a[i, i]
     return b, min_pivot, anorm
 
 
@@ -86,23 +101,28 @@ def solve_complex(a, b):
     resonance pole: a single system raises SingularMatrix, while in a stack
     the singular systems come back as rows of NaN.
     """
-    a = np.array(a, dtype=np.complex128)
-    b = np.array(b, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape[:-1]:
         raise ValueError("solve_complex expects n x n matrices and length-n vectors")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("non-finite matrix entries")
-    n = a.shape[-1]
-    x, min_pivot, anorm = lu_solve(a.reshape(-1, n, n), b.reshape(-1, n))
+    n, shape, single = a.shape[-1], b.shape, a.ndim == 2
+    # The batch-last scratch copies; rebinding ``a`` drops this frame's
+    # hold on the caller's stack.  copy() is explicit because a batch of
+    # one is already contiguous in the new layout.
+    a = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
+    b = b.reshape(-1, n).T.copy()
+    x, min_pivot, anorm = lu_solve(a, b)
     singular = min_pivot <= PIVOT_TOL * anorm
-    if a.ndim == 2:
+    if single:
         if singular[0]:
             raise SingularMatrix(
                 f"pivot {min_pivot[0]:.3e} below {PIVOT_TOL:.0e} * {anorm[0]:.3e}"
             )
-        return x[0]
-    x[singular] = np.nan
-    return x.reshape(b.shape)
+        return x[:, 0]
+    x[:, singular] = np.nan
+    return x.T.reshape(shape)
 
 
 def char_poly(j):
@@ -222,12 +242,13 @@ def lyapunov_solve(j, d):
     todo = np.flatnonzero(stable)
     for start in range(0, len(todo), LYAPUNOV_CHUNK):
         rows = todo[start : start + LYAPUNOV_CHUNK]
-        jp = np.concatenate((js[rows].reshape(-1, n * n), np.zeros((len(rows), 1))), axis=-1)
-        a = jp[:, src[0]]
-        a += jp[:, src[1]]
-        x, min_pivot, anorm = lu_solve(a, -ds[rows][:, iu[0], iu[1]])
-        x[min_pivot <= PIVOT_TOL * anorm] = np.nan
-        v[rows] = x[:, full]
+        jp = np.zeros((n * n + 1, len(rows)))
+        jp[:-1] = js[rows].reshape(-1, n * n).T
+        a = jp[src[0]]
+        a += jp[src[1]]
+        x, min_pivot, anorm = lu_solve(a, -ds[rows].transpose(1, 2, 0)[iu])
+        x[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
+        v[rows] = np.moveaxis(x[full], -1, 0)
     if j.ndim == 2:
         if not stable[0]:
             raise UnstableDrift("drift matrix is not Hurwitz stable")

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-import math
+import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -18,14 +17,18 @@ def _ticks(lo, hi, n=5):
 def line_plot(x, series, labels, xlabel, ylabel, title=""):
     """Render one polyline per series over a shared x grid; returns SVG text.
 
-    ``series`` is a sequence of y-sequences; NaN entries break the polyline.
+    ``series`` is a sequence of y-sequences; NaN and inf entries break the
+    polyline.
     """
-    finite = [v for ys in series for v in ys if math.isfinite(v)]
-    if not finite or not len(x):
+    x = np.asarray(x, dtype=np.float64)
+    series = [np.asarray(ys, dtype=np.float64) for ys in series]
+    masks = [np.isfinite(ys) for ys in series]
+    finite = np.concatenate([ys[m] for ys, m in zip(series, masks)] + [np.empty(0)])
+    if not finite.size or not x.size:
         xmin, xmax, ymin, ymax = 0.0, 1.0, 0.0, 1.0
     else:
-        xmin, xmax = min(x), max(x)
-        ymin, ymax = min(finite), max(finite)
+        xmin, xmax = x.min(), x.max()
+        ymin, ymax = finite.min(), finite.max()
     if xmax == xmin:
         xmax = xmin + 1.0
     if ymax == ymin:
@@ -65,15 +68,18 @@ def line_plot(x, series, labels, xlabel, ylabel, title=""):
     if title:
         parts.append(f'<text x="{_W/2:.0f}" y="14" text-anchor="middle">{title}</text>')
 
-    for k, (ys, label) in enumerate(zip(series, labels)):
+    xs = px(x).tolist()
+    for k, (ys, mask, label) in enumerate(zip(series, masks, labels)):
         color = _COLORS[k % len(_COLORS)]
-        # Each run of finite points of two or more is one polyline.
-        for finite_run, run in itertools.groupby(zip(x, ys), key=lambda xy: math.isfinite(xy[1])):
-            seg = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in run] if finite_run else []
-            if len(seg) > 1:
+        points = ["%.2f,%.2f" % xy for xy in zip(xs, py(ys).tolist())]
+        # Each run of finite points of two or more is one polyline; the
+        # edges of the padded mask alternate run starts and run ends.
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+        for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+            if stop - start > 1:
                 parts.append(
                     f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                    f'points="{" ".join(seg)}"/>'
+                    f'points="{" ".join(points[start:stop])}"/>'
                 )
         parts.append(
             f'<text x="{_W-_MR-8}" y="{_MT + 16 + 16*k}" text-anchor="end" '

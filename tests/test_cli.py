@@ -250,10 +250,45 @@ class TestEntangleCommand:
         assert "Traceback" not in out + err
 
 
+class TestCsv:
+    def test_inf_and_nan_are_empty_cells(self):
+        text = cli._csv(
+            ["x", "y"], [np.array([1 / 3, 2.0, 1e-20]), np.array([np.inf, -np.inf, np.nan])]
+        )
+        assert text == "x,y\n0.333333333333,\n2,\n1e-20,\n"
+
+    def test_string_column_passes_through(self):
+        text = cli._csv(["x", "stable"], [np.array([0.5, 1.5]), ["true", "false"]])
+        assert text == "x,stable\n0.5,true\n1.5,false\n"
+
+    def test_empty_columns_write_the_header_only(self):
+        assert cli._csv(["x", "y"], [np.empty(0), np.empty(0)]) == "x,y\n"
+
+
 class TestLinePlot:
     def test_nan_breaks_the_polyline(self):
         svg = line_plot([0, 1, 2, 3, 4], [[1.0, 2.0, np.nan, 3.0, 4.0]], ["y"], "x", "y")
         assert svg.count("<polyline") == 2
+
+    @pytest.mark.parametrize("gap", [np.inf, -np.inf])
+    def test_inf_breaks_the_polyline(self, gap):
+        svg = line_plot([0, 1, 2, 3, 4], [[1.0, 2.0, gap, 3.0, 4.0]], ["y"], "x", "y")
+        assert svg.count("<polyline") == 2
+        assert "inf" not in svg
+
+    def test_points_pinned(self):
+        # the second series' lone point after its NaN draws no polyline
+        svg = line_plot(
+            [0.0, 0.5, 1.0, 2.0],
+            [[1.0, 2.0, 4.0, 3.0], [0.5, 1.5, np.nan, 2.5]],
+            ["a", "b"],
+            "x",
+            "y",
+        )
+        assert re.findall(r'points="([^"]*)"', svg) == [
+            "70.00,358.12 207.50,251.62 345.00,38.64 620.00,145.13",
+            "70.00,411.36 207.50,304.87",
+        ]
 
     def test_all_nan_series_draws_nothing(self):
         svg = line_plot([0, 1, 2], [[np.nan] * 3], ["y"], "x", "y")

@@ -63,7 +63,7 @@ class TestSolveComplex:
         a = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
         b = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
         a[4, :, 2] = 0.0
-        _, min_pivot, anorm = lu_solve(a.copy(), b.copy())
+        _, min_pivot, anorm = lu_solve(a.transpose(1, 2, 0).copy(), b.T.copy())
         flagged = min_pivot <= PIVOT_TOL * anorm
         assert flagged.tolist() == [False] * 4 + [True] + [False] * 4
         x = am.solve_complex(a, b)
@@ -82,6 +82,48 @@ class TestSolveComplex:
             am.solve_complex(bad, np.ones(6))
         with pytest.raises(ValueError):
             am.char_poly(np.ones((2, 3)))
+
+    def test_row_swaps_keep_small_pivots_out(self):
+        # a zero and a 1e-20 leading entry: without a row swap the first
+        # gives NaN and the second loses x[0] to cancellation
+        a = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1e-20, 1.0], [1.0, 1.0]]], dtype=complex)
+        b = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
+        np.testing.assert_allclose(am.solve_complex(a, b), [[2.0, 1.0], [1.0, 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(am.solve_complex(a[1], b[1]), [1.0, 1.0], rtol=1e-15)
+
+    def test_caller_arrays_unchanged(self):
+        # the solve works on its own copies, also when a complex128 input
+        # needs no conversion and a batch of one is contiguous batch-last
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        b = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+        for args in ((a, b), (a[:1], b[:1]), (a[0], b[0])):
+            before = [v.copy() for v in args]
+            am.solve_complex(*args)
+            for v, w in zip(args, before):
+                np.testing.assert_array_equal(v, w)
+
+    def test_stack_matches_one_at_a_time_bitwise(self):
+        # Each system is l @ u with l unit lower triangular and |l_ij| < 1,
+        # which partial pivoting factors without a row swap, with its rows
+        # permuted; so pivoting has to swap rows at several steps.
+        rng = np.random.default_rng(21)
+        size = (64, 6, 6)
+        lower = 0.6 * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+        lower = np.tril(lower, -1) + np.eye(6)
+        upper = np.triu(rng.normal(size=size) + 1j * rng.normal(size=size))
+        m = lower @ upper
+        perms = rng.permuted(np.tile(np.arange(6), (64, 1)), axis=1)
+        # at least four rows out of place take at least two swaps
+        moved = (perms != np.arange(6)).sum(axis=1)
+        perms[moved < 4] = np.arange(6)[::-1]
+        a = m[np.arange(64)[:, None], perms]
+        b = rng.normal(size=(64, 6)) + 1j * rng.normal(size=(64, 6))
+        stack = am.solve_complex(a, b)
+        one = np.array([am.solve_complex(a[k], b[k]) for k in range(64)])
+        assert np.array_equal(stack, one)
+        empty = am.solve_complex(np.zeros((0, 6, 6), complex), np.zeros((0, 6), complex))
+        assert empty.shape == (0, 6)
 
     def test_roundtrip_property(self):
         rng = np.random.default_rng(11)
