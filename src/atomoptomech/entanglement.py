@@ -61,28 +61,28 @@ class EntanglementTable:
 def build_drift(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState
 ) -> DriftSystem:
-    """Drift and diffusion matrices in the quadrature basis."""
+    """Drift and diffusion matrices in the quadrature basis: (6, 6) each,
+    or a ``delta.shape + (6, 6)`` stack when ``params.delta`` and with it
+    the couplings are arrays over a grid of detunings."""
     c = couplings
     g2 = c.g2.real  # depletion-corrected coupling is real by construction
-    j = np.array(
-        [
-            [0.0, params.omega_m, 0.0, 0.0, 0.0, 0.0],
-            [-params.omega_m, -params.gamma_m, c.g_px, c.g_py, 0.0, 0.0],
-            [-c.g_py, 0.0, -params.kappa, params.delta, c.g3_mu, g2 + c.g3_nu],
-            [c.g_px, 0.0, -params.delta, -params.kappa, c.g3_nu - g2, -c.g3_mu],
-            [0.0, 0.0, c.g3_mu, g2 + c.g3_nu, c.g_mu - params.gamma_a, c.g_nu + c.delta_a_prime],
-            [0.0, 0.0, c.g3_nu - g2, -c.g3_mu, c.g_nu - c.delta_a_prime, -params.gamma_a - c.g_mu],
-        ]
+    entries = np.broadcast_arrays(
+        0.0, params.omega_m, 0.0, 0.0, 0.0, 0.0,
+        -params.omega_m, -params.gamma_m, c.g_px, c.g_py, 0.0, 0.0,
+        -c.g_py, 0.0, -params.kappa, params.delta, c.g3_mu, g2 + c.g3_nu,
+        c.g_px, 0.0, -params.delta, -params.kappa, c.g3_nu - g2, -c.g3_mu,
+        0.0, 0.0, c.g3_mu, g2 + c.g3_nu, c.g_mu - params.gamma_a, c.g_nu + c.delta_a_prime,
+        0.0, 0.0, c.g3_nu - g2, -c.g3_mu, c.g_nu - c.delta_a_prime, -params.gamma_a - c.g_mu,
     )
-    d = np.diag(
-        [
-            0.0,
-            params.gamma_m * (2.0 * params.n_thermal + 1.0),
-            params.kappa,
-            params.kappa,
-            params.gamma_a,
-            params.gamma_a,
-        ]
+    j = np.stack(entries, axis=-1).reshape(entries[0].shape + (6, 6))
+    d = np.zeros_like(j)
+    d[..., range(6), range(6)] = (
+        0.0,
+        params.gamma_m * (2.0 * params.n_thermal + 1.0),
+        params.kappa,
+        params.kappa,
+        params.gamma_a,
+        params.gamma_a,
     )
     return DriftSystem(j=j, d=d)
 
@@ -121,43 +121,38 @@ def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> Entan
     return _result(delta_over_omega_m, symplectic_nu(np.asarray(v, dtype=float)[:4, :4]))
 
 
-def _nu(points: list[SystemParams]) -> np.ndarray:
-    """Smallest symplectic eigenvalue at each parameter set's detuning, NaN
-    where the point is unstable.
+def _nu(params: SystemParams, delta: np.ndarray) -> np.ndarray:
+    """Smallest symplectic eigenvalue at each detuning of the 1-D grid
+    ``delta``, NaN where the point is unstable.
 
-    The drifts are built point by point and then solved as one stack.  A
-    point without a steady state never reaches the Routh test: it is
+    One steady state, one set of couplings and one drift stack cover the
+    whole grid: the excitation root depends only on (delta_r, gamma_r).
+    Without that root no point has a steady state, so every point is
     unstable, like a point whose covariance comes back NaN.
     """
-    solved, drifts = [], []
-    for k, p in enumerate(points):
-        try:
-            ss = fixed_point(p)
-        except NoRoot:
-            continue
-        solved.append(k)
-        drifts.append(build_drift(p, derive_couplings(p, ss), ss))
-    nu = np.full(len(points), np.nan)
-    if solved:
-        stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
-        nu[solved] = symplectic_nu(steady_covariance(stack)[:, :4, :4])
-    return nu
+    p = params.replace(delta=delta)
+    try:
+        ss = fixed_point(p)
+    except NoRoot:
+        return np.full(delta.shape, np.nan)
+    ds = build_drift(p, derive_couplings(p, ss), ss)
+    return symplectic_nu(steady_covariance(ds)[:, :4, :4])
 
 
 def entanglement_at(params: SystemParams) -> EntanglementResult:
     """Stability check plus log-negativity at the parameters' detuning."""
-    return _result(params.delta / params.omega_m, _nu([params])[0])
+    return _result(params.delta / params.omega_m, _nu(params, np.array([params.delta]))[0])
 
 
 def detuning_sweep(params: SystemParams, delta_grid) -> EntanglementTable:
-    """Log-negativity over a grid of effective detunings, as one stack.
+    """Log-negativity over a grid of effective detunings, in one array pass.
 
     Everything but the detuning comes from ``params``; ``delta_grid`` is in
     rad/s.  Unstable points are data (NaN in ``e_n`` and ``nu``), not
     failures.
     """
     delta_grid = np.asarray(list(delta_grid), dtype=float)
-    nu = _nu([params.replace(delta=float(delta)) for delta in delta_grid])
+    nu = _nu(params, delta_grid)
     return EntanglementTable(
         delta_over_omega_m=delta_grid / params.omega_m,
         e_n=np.maximum(0.0, -np.log(2.0 * nu)),

@@ -74,8 +74,9 @@ class DerivedCouplings:
     g1/g3 are the parametric (conjugate-mode) couplings picked up from the
     excitation correction, g2 the excitation-depleted atom-cavity coupling,
     and the g_* quantities are the real quadrature-frame couplings entering
-    the drift matrix.  ``drive_amp`` is the per-atom drive amplitude the
-    dimensionless knobs imply; ``chi = drive_amp * sqrt(n_atoms)``.
+    the drift matrix.  The fields that depend on the detuning (g1,
+    delta_a_prime, g_px, g_py, g_mu, g_nu) are arrays of its shape when
+    ``params.delta`` is an array.
     """
 
     g0: float
@@ -89,9 +90,6 @@ class DerivedCouplings:
     g_nu: float
     g3_mu: float
     g3_nu: float
-    chi: float
-    drive_amp: float
-    delta_a: float
 
 
 _POSITIVE_FIELDS = (
@@ -193,7 +191,9 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
     Deterministic in its inputs.  The quadrature-frame couplings follow
     from substituting the quadrature definitions into the linearized
     equations of motion, which keeps the drift matrix real and similar to
-    the frequency-domain system matrix (same eigenvalues).
+    the frequency-domain system matrix (same eigenvalues).  An array
+    ``params.delta``, with the matching array ``ss.c_s`` from
+    :func:`fixed_point`, gives the couplings over that grid of detunings.
     """
     beta = ss.beta
     excitation = abs(beta) ** 2
@@ -226,9 +226,6 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
         g_nu=g1.real,
         g3_mu=-g3.imag,
         g3_nu=g3.real,
-        chi=chi,
-        drive_amp=drive,
-        delta_a=delta_a,
     )
 
 

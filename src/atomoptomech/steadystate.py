@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import NoConvergence
-from .params import SystemParams, single_photon_coupling
+from .params import SystemParams, backaction_lorentzian, single_photon_coupling
 
 
 class NoRoot(Exception):
@@ -34,6 +34,8 @@ class SteadyState:
     intracavity amplitude (photon-amplitude units), ``x_s``/``p_s`` the
     mirror displacement/momentum in dimensionless oscillator units.
     ``residual`` is the max-norm of the fixed-point equation at ``beta``.
+    ``c_s`` and ``x_s`` are arrays when the detuning they were solved at is
+    an array (see :func:`fixed_point`).
     """
 
     beta: complex
@@ -158,27 +160,35 @@ def solve_beta(delta_r: float, gamma_r: float):
     return tuple(roots)
 
 
-def fixed_point(params: SystemParams) -> SteadyState:
-    """Full steady state on the low-excitation branch.
-
-    The root with the smallest excitation is selected: the bosonization is
-    a low-excitation expansion and the reference excitation fractions match
-    this branch.
-    """
-    roots = solve_beta(params.delta_r, params.gamma_r)
-    beta = roots[0]
-    excitation = abs(beta) ** 2
-    g = params.coupling_G
+def _cavity_state(params: SystemParams, beta: complex, excitation: float):
+    """Intracavity amplitude c_s and static mirror displacement x_s that the
+    collective amplitude ``beta`` at excitation fraction ``excitation``
+    drives at the detuning ``params.delta`` (arrays when it is an array)."""
     c_s = (
         -1j
-        * g
+        * params.coupling_G
         * math.sqrt(params.n_atoms)
         * beta
         * (1.0 - excitation / 2.0)
         / (params.kappa + 1j * params.delta)
     )
-    g0 = single_photon_coupling(params)
-    x_s = g0 * abs(c_s) ** 2 / params.omega_m
+    x_s = single_photon_coupling(params) * abs(c_s) ** 2 / params.omega_m
+    return c_s, x_s
+
+
+def fixed_point(params: SystemParams) -> SteadyState:
+    """Full steady state on the low-excitation branch.
+
+    The root with the smallest excitation is selected: the bosonization is
+    a low-excitation expansion and the reference excitation fractions match
+    this branch.  The root depends only on (delta_r, gamma_r), so an array
+    ``params.delta`` gives arrays ``c_s`` and ``x_s`` over that grid of
+    detunings from one root.
+    """
+    roots = solve_beta(params.delta_r, params.gamma_r)
+    beta = roots[0]
+    excitation = abs(beta) ** 2
+    c_s, x_s = _cavity_state(params, beta, excitation)
     res = excitation_equation(beta, params.delta_r, params.gamma_r)
     return SteadyState(
         beta=beta,
@@ -217,7 +227,6 @@ def self_consistent_rates(
     drive = params.chi / math.sqrt(params.n_atoms)
     if drive == 0:
         raise ValueError("self-consistent mode requires a nonzero drive amplitude chi")
-    g = params.coupling_G
     g0 = single_photon_coupling(params)
 
     beta = complex(initial_beta)
@@ -226,17 +235,9 @@ def self_consistent_rates(
     delta_r = gamma_r = None
     for _ in range(max_iter):
         if update_delta:
-            c_s = (
-                -1j
-                * g
-                * math.sqrt(params.n_atoms)
-                * beta
-                * (1.0 - excitation / 2.0)
-                / (params.kappa + 1j * delta_eff)
-            )
-            x_s = g0 * abs(c_s) ** 2 / params.omega_m
+            _, x_s = _cavity_state(params.replace(delta=delta_eff), beta, excitation)
             delta_eff = params.delta - g0 * x_s
-        lor = g**2 * delta_eff / (params.kappa**2 + delta_eff**2)
+        lor = backaction_lorentzian(params.replace(delta=delta_eff), "delta")
         delta_r = (params.delta_a - lor * (1.0 - 2.0 * excitation)) / drive
         gamma_r = (params.gamma_a + lor * (1.0 - excitation)) / drive
         beta_new = solve_beta(delta_r, gamma_r)[0]

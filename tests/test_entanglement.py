@@ -12,13 +12,28 @@ def _couplings_zero(g0=0.0):
     return DerivedCouplings(
         g0=g0, g1=0j, g2=0j, g3=0j, delta_a_prime=0.0,
         g_px=0.0, g_py=0.0, g_mu=0.0, g_nu=0.0, g3_mu=0.0, g3_nu=0.0,
-        chi=0.0, drive_amp=0.0, delta_a=0.0,
     )
 
 
 def _vacuum_ss():
     return SteadyState(beta=0j, excitation=0.0, c_s=0j, x_s=0.0, p_s=0.0,
                        residual=0.0, branch_count=1)
+
+
+def _fig3b_case8(params):
+    """The case-8, G = 100 kappa parameters and fig3b's detuning grid."""
+    p = params.with_case(8.0, 8.0).replace(coupling_G=100 * params.kappa)
+    return p, np.linspace(0.0, 3.0, 500) * p.omega_m
+
+
+def _scalar_drifts(p, grid):
+    """One (6, 6) drift per detuning, each from scalar arithmetic."""
+    drifts = []
+    for delta in grid:
+        q = p.replace(delta=float(delta))
+        ss = am.fixed_point(q)
+        drifts.append(am.build_drift(q, am.derive_couplings(q, ss), ss))
+    return drifts
 
 
 class TestBuildDrift:
@@ -63,6 +78,26 @@ class TestBuildDrift:
             ss = am.fixed_point(pp)
             ds = am.build_drift(pp, am.derive_couplings(pp, ss), ss)
             assert is_stable(ds) == eig_stable(ds.j)
+
+    def test_array_delta_matches_scalar_builds(self, default_params):
+        # one build over the fig3b case-8 grid against a build per detuning;
+        # c_s comes from NumPy's complex division on the grid and Python's at
+        # a point, which can round differently in the last bit, so only the
+        # entries made from c_s (g_px, g_py, g_mu, g_nu, delta_a') may move
+        p, grid = _fig3b_case8(default_params)
+        pa = p.replace(delta=grid)
+        ss = am.fixed_point(pa)
+        ds = am.build_drift(pa, am.derive_couplings(pa, ss), ss)
+        assert ds.j.shape == ds.d.shape == (len(grid), 6, 6)
+        ones = _scalar_drifts(p, grid)
+        assert all(o.j.shape == o.d.shape == (6, 6) for o in ones)
+        j1 = np.stack([o.j for o in ones])
+        np.testing.assert_array_equal(ds.d, np.stack([o.d for o in ones]))
+        from_c_s = np.zeros((6, 6), dtype=bool)
+        from_c_s[[1, 1, 2, 3, 4, 4, 5, 5], [2, 3, 0, 0, 4, 5, 4, 5]] = True
+        np.testing.assert_array_equal(ds.j[:, ~from_c_s], j1[:, ~from_c_s])
+        scale = np.max(np.abs(j1), axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(ds.j - j1) <= 1e-15 * scale)
 
     def test_drift_similar_to_frequency_matrix(self, steady_case1):
         # the quadrature drift and the frequency-domain system matrix encode
@@ -219,6 +254,16 @@ class TestDetuningSweep:
         # NaN marks an unstable point in both columns, and only there
         np.testing.assert_array_equal(np.isfinite(table.e_n), stable)
         np.testing.assert_array_equal(np.isfinite(table.nu), stable)
+        # without a root of the excitation equation (its quartic overflows)
+        # no point of the sweep has a steady state
+        q = p.replace(delta_r=1e200)
+        table = am.detuning_sweep(q, grid)
+        assert table.delta_over_omega_m == pytest.approx(grid / p.omega_m)
+        assert np.all(np.isnan(table.e_n)) and np.all(np.isnan(table.nu))
+        assert table.e_n.shape == table.nu.shape == grid.shape
+        assert am.entanglement_at(q) == am.EntanglementResult(
+            q.delta / q.omega_m, stable=False, e_n=None, nu=None
+        )
 
     def test_matches_pointwise_entanglement_at(self, default_params):
         # the stacked sweep against batches of one, on a grid whose low
@@ -235,6 +280,24 @@ class TestDetuningSweep:
         want_e_n = [np.nan if r.e_n is None else r.e_n for r in rows]
         np.testing.assert_allclose(table.e_n, want_e_n, rtol=1e-14, atol=0.0)
         assert 0 < sum(table.stable) < len(rows)
+
+    def test_matches_scalar_covariance_chain(self, default_params):
+        # the array pass against steady_covariance -> symplectic_nu on each
+        # point's own (6, 6) drift, built from scalar arithmetic
+        p, grid = _fig3b_case8(default_params)
+        table = am.detuning_sweep(p, grid)
+        want = []
+        for ds in _scalar_drifts(p, grid):
+            try:
+                v = am.steady_covariance(ds)
+            except am.UnstableDrift:
+                want.append(np.nan)
+                continue
+            want.append(am.symplectic_nu(v[:4, :4]))
+        want = np.array(want)
+        np.testing.assert_array_equal(table.stable, np.isfinite(want))
+        assert 0 < np.sum(table.stable) < len(grid)
+        np.testing.assert_allclose(table.nu, want, rtol=1e-12, atol=0.0)
 
     def test_entanglement_dies_at_large_detuning(self, default_params):
         p = default_params

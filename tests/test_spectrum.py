@@ -113,7 +113,6 @@ class TestTransferRoutes:
             g0=0.0, g1=cpl.g1, g2=cpl.g2, g3=cpl.g3,
             delta_a_prime=cpl.delta_a_prime, g_px=0.0, g_py=0.0,
             g_mu=cpl.g_mu, g_nu=cpl.g_nu, g3_mu=cpl.g3_mu, g3_nu=cpl.g3_nu,
-            chi=cpl.chi, drive_amp=cpl.drive_amp, delta_a=cpl.delta_a,
         )
         t = am.transfer_closed_form(p, no_rp, ss, 0.8 * p.omega_m)
         assert t.f_c == 0
