@@ -1,11 +1,13 @@
 """Small dense numerical routines sized for this problem.
 
 A batched pivoted LU, :func:`lu_solve`, solves a stack of systems held
-batch-last, so each of its pivot steps is one set of NumPy operations over
-contiguous rows of the batch.  It serves the complex 6x6 spectrum solves and the Lyapunov solve, which
-runs Routh-Hurwitz stability on Faddeev-LeVerrier characteristic
-polynomials and then solves the 21x21 half-vectorized system of the
-symmetric covariance's independent entries.  The smallest symplectic
+batch-last, so each of its pivot steps is a few NumPy operations over
+contiguous rows of the batch, taken a row slab at a time so that no
+temporary is as large as the stack.  It serves the complex 6x6 spectrum
+solves and the Lyapunov solve, which runs Routh-Hurwitz stability on
+Faddeev-LeVerrier characteristic polynomials and then solves the 21x21
+half-vectorized systems of the symmetric covariance's independent entries,
+all stable systems of a stack in one call.  The smallest symplectic
 eigenvalue is closed-form.  The solves and the eigenvalue take one system,
 which raises on failure, or a stack, which gives NaN for a failed system.
 No general-purpose linear algebra backend is used at runtime.
@@ -37,10 +39,14 @@ class InvalidCovariance(Exception):
 
 
 PIVOT_TOL = 1e-14
-# Lyapunov systems per lu_solve call: the 486 stable systems of a 500-point
-# sweep in one call would take 3.2 MiB more peak memory (0.9 -> 4.1 MiB
-# under tracemalloc) for ~10 ms less (18 -> 8 ms, one core of a 2-core VM).
-LYAPUNOV_CHUNK = 48
+
+
+def _slab(rows, batch):
+    """Rows per slab when ``rows`` rows of a batch-last stack are taken a
+    slab at a time: all of them for a batch of one, one once the batch is
+    at least ``rows``.  A temporary made per slab is then about one system
+    or one row of the stack, never the stack."""
+    return max(1, rows // max(batch, 1))
 
 
 def lu_solve(a, b):
@@ -53,6 +59,10 @@ def lu_solve(a, b):
     ``(x, min_pivot, max_norm)``: x is ``b`` itself, and the other two are
     per system; the caller decides what pivot magnitude counts as singular.
     A system whose pivot is exactly zero gets min_pivot = 0 and a garbage x.
+
+    The norm and the rank-one updates run over row slabs (see ``_slab``),
+    so no temporary is as large as ``a``: the peak memory of a call is the
+    stack itself plus about one of its rows.
     """
     if not (a.flags.c_contiguous and b.flags.c_contiguous):
         raise ValueError("lu_solve works in place on C-contiguous arrays")
@@ -61,10 +71,15 @@ def lu_solve(a, b):
     # Flat index of entry (0, j, s) of a for the columns j of each step.
     cols = np.arange(n)[:, None] * batch + systems
     flat_a, flat_b = a.reshape(-1), b.reshape(-1)
-    anorm = np.abs(a).sum(axis=1).max(axis=0)
+    step = _slab(n, batch)
+    anorm = np.abs(a[:step]).sum(axis=1).max(axis=0)
+    for i in range(step, n, step):
+        anorm = np.maximum(anorm, np.abs(a[i : i + step]).sum(axis=1).max(axis=0))
     min_pivot = np.full(batch, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n):
+        # The last pivot has nothing to search, swap or eliminate: it only
+        # joins min_pivot after the loop.
+        for k in range(n - 1):
             mag = np.abs(a[k:, k])
             piv = k + np.argmax(mag, axis=0)
             # fmin skips NaN, so a zero pivot stays recorded when the
@@ -80,8 +95,16 @@ def lu_solve(a, b):
             # broadcast over a prepended axis skips NumPy's FMA loop, so a
             # batch of one would round unlike a stack.
             f = a[k + 1 :, k] / a[k, None, k]
-            a[k + 1 :, k + 1 :] -= f[:, None] * a[k, None, k + 1 :]
+            # Rows that fit in one slab, as at a batch of one, take one
+            # block update: single systems pay nothing for the slab loop.
+            if step >= n - k - 1:
+                a[k + 1 :, k + 1 :] -= f[:, None] * a[k, None, k + 1 :]
+            else:
+                below = a[k + 1 :]
+                for i in range(0, n - k - 1, step):
+                    below[i : i + step, k + 1 :] -= f[i : i + step, None] * a[k, None, k + 1 :]
             b[k + 1 :] -= f * b[k, None]
+        min_pivot = np.fmin(min_pivot, np.abs(a[-1, -1]))
         # Back substitution subtracts each row's terms one after another in
         # column order (subtract.reduce over the leading axis is a left
         # fold), so a system rounds the same whatever its size or batch.
@@ -226,26 +249,29 @@ def lyapunov_solve(j, d):
     ``j`` and ``d`` are n x n, or stacks (batch, n, n); ``d`` is symmetric
     and its upper triangle is read.  Each system gets one Routh-Hurwitz
     verdict; the stable ones are half-vectorized into n(n + 1)/2-square
-    real systems for the independent entries of v and solved
-    LYAPUNOV_CHUNK at a time, so v comes back exactly symmetric.  A single
-    system raises UnstableDrift for a drift that is not Hurwitz stable and
-    SingularSystem for a vanishing pivot, while in a stack those systems
-    come back as NaN.
+    real systems for the independent entries of v, assembled a row slab at
+    a time and solved in one :func:`lu_solve` call, so v comes back exactly
+    symmetric.  ``j`` and ``d`` are only read, so they are not copied.  A
+    single system raises UnstableDrift for a drift that is not Hurwitz
+    stable and SingularSystem for a vanishing pivot, while in a stack those
+    systems come back as NaN.
     """
-    j = np.array(j, dtype=np.float64)
-    d = np.array(d, dtype=np.float64)
+    j = np.asarray(j, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
     n = j.shape[-1]
     js, ds = j.reshape(-1, n, n), d.reshape(-1, n, n)
     stable, _ = routh_hurwitz_flags(char_poly(js))
     src, iu, full = _half_vec_maps(n)
     v = np.full(js.shape, np.nan)
-    todo = np.flatnonzero(stable)
-    for start in range(0, len(todo), LYAPUNOV_CHUNK):
-        rows = todo[start : start + LYAPUNOV_CHUNK]
+    rows = np.flatnonzero(stable)
+    if len(rows):
         jp = np.zeros((n * n + 1, len(rows)))
         jp[:-1] = js[rows].reshape(-1, n * n).T
         a = jp[src[0]]
-        a += jp[src[1]]
+        step = _slab(len(a), len(rows))
+        for i in range(0, len(a), step):
+            a[i : i + step] += jp[src[1, i : i + step]]
+        del jp
         x, min_pivot, anorm = lu_solve(a, -ds[rows].transpose(1, 2, 0)[iu])
         x[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
         v[rows] = np.moveaxis(x[full], -1, 0)

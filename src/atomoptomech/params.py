@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 C_LIGHT = 299792458.0
 HBAR = 1.054571817e-34
 K_BOLTZMANN = 1.380649e-23
@@ -110,6 +112,7 @@ def validate(params: SystemParams) -> list[str]:
 
     Warnings flag strained approximations (they do not stop a run):
     excitation fraction above 0.5, overdamped mechanics, tiny ensembles.
+    ``delta`` may be an array of detunings; each entry must be finite.
     """
     for name in _POSITIVE_FIELDS:
         val = getattr(params, name)
@@ -121,7 +124,7 @@ def validate(params: SystemParams) -> list[str]:
             raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
     for name in ("delta", "delta_r", "chi", "delta_a"):
         val = getattr(params, name)
-        if val is not None and not math.isfinite(val):
+        if val is not None and not np.isfinite(val).all():
             raise ValueError(f"{name} must be finite, got {val!r}")
     if not math.isfinite(params.n_atoms) or params.n_atoms < 1:
         raise ValueError(f"n_atoms must be finite and >= 1, got {params.n_atoms!r}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import eig_stable, symplectic_spectrum
@@ -141,6 +143,24 @@ class TestSteadyCovariance:
         ds = am.build_drift(p, _couplings_zero(), _vacuum_ss())
         with pytest.raises(am.UnstableDrift):
             am.steady_covariance(ds)
+
+    def test_sweep_peak_memory(self, default_params):
+        # the 500-point case-1, G = 25 kappa sweep solves its 486 stable
+        # drifts as one 1.6 MiB stack of 21x21 systems; one more temporary
+        # of the stack's size would push the peak past 4 MiB
+        p = default_params.with_case(1.0, 1.0)
+        p = p.replace(coupling_G=25 * p.kappa, delta=np.linspace(0.0, 3.0, 500) * p.omega_m)
+        ss = am.fixed_point(p)
+        ds = am.build_drift(p, am.derive_couplings(p, ss), ss)
+        am.steady_covariance(ds)  # fills the index-map cache
+        tracemalloc.start()
+        try:
+            v = am.steady_covariance(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(v).all(axis=(1, 2)).sum() == 486
+        assert peak <= 3.3 * 2**20
 
     def test_residual_on_fig_case(self, default_params):
         p = default_params.replace(delta=1.22 * default_params.omega_m)

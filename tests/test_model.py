@@ -109,6 +109,15 @@ class TestValidate:
         w = am.validate(default_params.replace(delta_r=1e200))
         assert any("no steady-state excitation root" in msg for msg in w)
 
+    def test_finite_delta_array_passes(self, default_params):
+        delta = np.linspace(0.0, 3.0, 5) * default_params.omega_m
+        assert am.validate(default_params.replace(delta=delta)) == []
+
+    def test_delta_array_with_nan_names_delta(self, default_params):
+        delta = np.array([0.0, np.nan, 1.0]) * default_params.omega_m
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            am.validate(default_params.replace(delta=delta))
+
     @pytest.mark.parametrize(
         "field,value",
         [

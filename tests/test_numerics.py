@@ -3,8 +3,9 @@ import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
 
 import atomoptomech as am
+from atomoptomech import numerics
 from atomoptomech.entanglement import is_stable
-from atomoptomech.numerics import LYAPUNOV_CHUNK, PIVOT_TOL, lu_solve
+from atomoptomech.numerics import PIVOT_TOL, lu_solve
 from atomoptomech.steadystate import _quartic_roots
 
 
@@ -72,6 +73,22 @@ class TestSolveComplex:
         for k in (0, 1, 2, 3, 5, 6, 7, 8):
             want = np.linalg.solve(a[k], b[k])
             assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("batch", [0, 1, 7, 300])
+    def test_anorm_is_the_whole_stack_row_sum(self, dtype, batch):
+        # lu_solve takes the norm a row slab at a time (three rows at
+        # batch 7, one row at batch 300); it must equal the reduction over
+        # the whole stack
+        rng = np.random.default_rng(batch)
+        a = rng.normal(size=(21, 21, batch)).astype(dtype)
+        b = rng.normal(size=(21, batch)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=a.shape)
+        want = np.abs(a).sum(axis=1).max(axis=0)
+        _, _, anorm = lu_solve(a, b)
+        assert anorm.shape == (batch,)
+        assert np.array_equal(anorm, want)
 
     def test_shape_and_finiteness_rejected(self):
         with pytest.raises(ValueError):
@@ -296,14 +313,15 @@ class TestLyapunov:
         assert np.all(np.isnan(v[1]))
 
     def test_stack_matches_single_solves(self):
-        # more systems than one LU chunk; every fifth drift keeps a
-        # right-half-plane root, and one stable drift has a pivot at
-        # rounding level, so those come back NaN from the stack and raise
-        # on their own
+        # 101 systems; the first two, the last two and every fifth drift
+        # keep a right-half-plane root (rows 3 and 4 are neighbours), and
+        # one stable drift has a pivot at rounding level, so those come
+        # back NaN from the stack and raise on their own
         rng = np.random.default_rng(29)
-        n = 2 * LYAPUNOV_CHUNK + 5
+        n = 101
         js = rng.normal(size=(n, 6, 6))
         unstable = np.arange(n) % 5 == 3
+        unstable[[0, 1, 4, n - 2, n - 1]] = True
         margin = rng.uniform(0.1, 1.0, size=n) * np.where(unstable, -1.0, 1.0)
         for j, m in zip(js, margin):
             j -= (np.max(np.linalg.eigvals(j).real) + m) * np.eye(6)
@@ -324,6 +342,28 @@ class TestLyapunov:
             else:
                 assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
 
+    def test_one_lu_call_per_stack(self, monkeypatch):
+        # every third drift is unstable: the other 106 go to lu_solve in
+        # one call, and an all-unstable stack or drift makes no call
+        calls = []
+
+        def counting(a, b):
+            calls.append(b.shape[1])
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(numerics, "lu_solve", counting)
+        js, ds = _stable_stack(np.random.default_rng(47), 6, 160)
+        js[::3] += 2.0 * np.eye(6) * np.abs(js).max()
+        v = am.lyapunov_solve(js, ds)
+        assert calls == [160 - 54]
+        assert np.isfinite(v[1::3]).all() and np.isfinite(v[2::3]).all()
+        calls.clear()
+        v = am.lyapunov_solve(js[::3], ds[::3])
+        assert calls == [] and np.isnan(v).all()
+        with pytest.raises(am.UnstableDrift):
+            am.lyapunov_solve(js[0], ds[0])
+        assert calls == []
+
 
 def _stable_stack(rng, n, size):
     js = rng.normal(size=(size, n, n))
@@ -334,17 +374,17 @@ def _stable_stack(rng, n, size):
 
 
 class TestHalfVectorizedLyapunov:
-    def test_stack_vs_scipy_with_unstable_rows_at_chunk_boundaries(self):
-        # every chunk boundary of the input carries an unstable drift on
-        # it and on both sides of it; the rest must match SciPy's
-        # Bartels-Stewart solve and come back exactly symmetric
+    def test_stack_vs_scipy_with_unstable_rows_interleaved(self):
+        # 160 systems: unstable drifts open and close the stack and sit in
+        # three runs of neighbours inside it; the rest must match SciPy's
+        # Bartels-Stewart solve, come back exactly symmetric and equal
+        # their one-at-a-time solves bit for bit
         linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(41)
-        n = max(150, 3 * LYAPUNOV_CHUNK) + 10
+        n = 160
         js, ds = _stable_stack(rng, 6, n)
         unstable = np.zeros(n, dtype=bool)
-        for edge in range(LYAPUNOV_CHUNK, n, LYAPUNOV_CHUNK):
-            unstable[edge - 1 : edge + 2] = True
+        unstable[[0, 1, 47, 48, 49, 95, 96, 97, 143, 144, 145, n - 2, n - 1]] = True
         js[unstable] += 2.0 * np.eye(6) * np.abs(js[unstable]).max()
         v = am.lyapunov_solve(js, ds)
         assert v.shape == (n, 6, 6)
@@ -353,6 +393,7 @@ class TestHalfVectorizedLyapunov:
         for k in np.flatnonzero(~unstable):
             want = linalg.solve_continuous_lyapunov(js[k], -ds[k])
             assert np.max(np.abs(v[k] - want)) <= 1e-9 * np.max(np.abs(want)), k
+            assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k])), k
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_other_sizes_vs_scipy(self, n):
