@@ -72,8 +72,8 @@ def lu_solve(a, b):
     cols = np.arange(n)[:, None] * batch + systems
     flat_a, flat_b = a.reshape(-1), b.reshape(-1)
     step = _slab(n, batch)
-    anorm = np.abs(a[:step]).sum(axis=1).max(axis=0)
-    for i in range(step, n, step):
+    anorm = np.zeros(batch)
+    for i in range(0, n, step):
         anorm = np.maximum(anorm, np.abs(a[i : i + step]).sum(axis=1).max(axis=0))
     min_pivot = np.full(batch, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,14 +95,9 @@ def lu_solve(a, b):
             # broadcast over a prepended axis skips NumPy's FMA loop, so a
             # batch of one would round unlike a stack.
             f = a[k + 1 :, k] / a[k, None, k]
-            # Rows that fit in one slab, as at a batch of one, take one
-            # block update: single systems pay nothing for the slab loop.
-            if step >= n - k - 1:
-                a[k + 1 :, k + 1 :] -= f[:, None] * a[k, None, k + 1 :]
-            else:
-                below = a[k + 1 :]
-                for i in range(0, n - k - 1, step):
-                    below[i : i + step, k + 1 :] -= f[i : i + step, None] * a[k, None, k + 1 :]
+            below = a[k + 1 :]
+            for i in range(0, n - k - 1, step):
+                below[i : i + step, k + 1 :] -= f[i : i + step, None] * a[k, None, k + 1 :]
             b[k + 1 :] -= f * b[k, None]
         min_pivot = np.fmin(min_pivot, np.abs(a[-1, -1]))
         # Back substitution subtracts each row's terms one after another in
