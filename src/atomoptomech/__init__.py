@@ -17,11 +17,7 @@ from .entanglement import (
     steady_covariance,
 )
 from .numerics import (
-    InvalidCovariance,
     NoConvergence,
-    SingularMatrix,
-    SingularSystem,
-    UnstableDrift,
     char_poly,
     lyapunov_solve,
     routh_hurwitz_flags,
@@ -89,11 +85,7 @@ __all__ = [
     "routh_hurwitz_flags",
     "lyapunov_solve",
     "symplectic_nu",
-    "SingularMatrix",
     "NoConvergence",
-    "UnstableDrift",
-    "SingularSystem",
-    "InvalidCovariance",
     "NoRoot",
     "PoleAtOmega",
 ]

@@ -96,8 +96,9 @@ def is_stable(ds: DriftSystem) -> bool:
 
 
 def steady_covariance(ds: DriftSystem) -> np.ndarray:
-    """Stationary covariance from the Lyapunov equation, for one drift
-    (raises if it is not Hurwitz) or a stack of them (NaN for those)."""
+    """Stationary covariance from the Lyapunov equation, for one drift or a
+    stack of them; a drift that is not Hurwitz gives NaN, alone or in a
+    stack."""
     scale = np.max(np.abs(ds.j), axis=(-2, -1), keepdims=True)
     # Solve in scaled time so the 21x21 half-vectorized system is well
     # conditioned; the covariance is invariant under (j, d) -> (j/s, d/s).

@@ -8,9 +8,10 @@ solves and the Lyapunov solve, which runs Routh-Hurwitz stability on
 Faddeev-LeVerrier characteristic polynomials and then solves the 21x21
 half-vectorized systems of the symmetric covariance's independent entries,
 all stable systems of a stack in one call.  The smallest symplectic
-eigenvalue is closed-form.  The solves and the eigenvalue take one system,
-which raises on failure, or a stack, which gives NaN for a failed system.
-No general-purpose linear algebra backend is used at runtime.
+eigenvalue is closed-form.  The solves and the eigenvalue take one system
+or a stack; one system is a stack of one, and a failed system, alone or in
+a stack, comes back as NaN.  No general-purpose linear algebra backend is
+used at runtime.
 """
 
 import functools
@@ -18,24 +19,8 @@ import functools
 import numpy as np
 
 
-class SingularMatrix(Exception):
-    """Pivot collapsed below the singularity threshold."""
-
-
 class NoConvergence(Exception):
     """An iteration hit its cap without meeting its tolerance."""
-
-
-class UnstableDrift(Exception):
-    """Drift matrix has an eigenvalue with non-negative real part."""
-
-
-class SingularSystem(Exception):
-    """The half-vectorized Lyapunov system is numerically singular."""
-
-
-class InvalidCovariance(Exception):
-    """Covariance matrix violates the symplectic constraints."""
 
 
 PIVOT_TOL = 1e-14
@@ -116,8 +101,8 @@ def solve_complex(a, b):
     ``a`` is n x n, or a stack (..., n, n) solved in one batched pass with
     ``b`` of shape (..., n).  A system is singular when a pivot falls below
     ``1e-14 * ||a||_inf``, which in the spectrum code signals hitting a
-    resonance pole: a single system raises SingularMatrix, while in a stack
-    the singular systems come back as rows of NaN.
+    resonance pole; a singular system comes back as NaN, alone or as its
+    row of a stack.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -125,21 +110,14 @@ def solve_complex(a, b):
         raise ValueError("solve_complex expects n x n matrices and length-n vectors")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("non-finite matrix entries")
-    n, shape, single = a.shape[-1], b.shape, a.ndim == 2
+    n, shape = a.shape[-1], b.shape
     # The batch-last scratch copies; rebinding ``a`` drops this frame's
     # hold on the caller's stack.  copy() is explicit because a batch of
     # one is already contiguous in the new layout.
     a = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
     b = b.reshape(-1, n).T.copy()
     x, min_pivot, anorm = lu_solve(a, b)
-    singular = min_pivot <= PIVOT_TOL * anorm
-    if single:
-        if singular[0]:
-            raise SingularMatrix(
-                f"pivot {min_pivot[0]:.3e} below {PIVOT_TOL:.0e} * {anorm[0]:.3e}"
-            )
-        return x[:, 0]
-    x[:, singular] = np.nan
+    x[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
     return x.T.reshape(shape)
 
 
@@ -247,9 +225,8 @@ def lyapunov_solve(j, d):
     real systems for the independent entries of v, assembled a row slab at
     a time and solved in one :func:`lu_solve` call, so v comes back exactly
     symmetric.  ``j`` and ``d`` are only read, so they are not copied.  A
-    single system raises UnstableDrift for a drift that is not Hurwitz
-    stable and SingularSystem for a vanishing pivot, while in a stack those
-    systems come back as NaN.
+    drift that is not Hurwitz stable, or whose system has a vanishing
+    pivot, gives a v of NaN, alone or in a stack.
     """
     j = np.asarray(j, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -270,11 +247,6 @@ def lyapunov_solve(j, d):
         x, min_pivot, anorm = lu_solve(a, -ds[rows].transpose(1, 2, 0)[iu])
         x[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
         v[rows] = np.moveaxis(x[full], -1, 0)
-    if j.ndim == 2:
-        if not stable[0]:
-            raise UnstableDrift("drift matrix is not Hurwitz stable")
-        if np.isnan(v).any():
-            raise SingularSystem("Lyapunov system has a vanishing pivot")
     return v.reshape(j.shape)
 
 
@@ -303,8 +275,8 @@ def symplectic_nu(v4):
     The sign flip of the momentum of one mode under partial transposition
     enters as the minus sign on the cross-block determinant, so the input
     is the plain (untransposed) 4x4 covariance, or a stack (..., 4, 4) of
-    them.  A single covariance that violates the symplectic constraints
-    raises InvalidCovariance; in a stack its entry comes back as NaN.
+    them: one gives an ``np.float64``, a stack an array.  A covariance that
+    violates the symplectic constraints gives NaN, alone or in a stack.
     """
     v4 = np.array(v4, dtype=np.float64)
     if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
@@ -316,10 +288,4 @@ def symplectic_nu(v4):
     rad = sigma * sigma - 4.0 * _det4(v4)
     inner = sigma - np.sqrt(np.maximum(rad, 0.0))
     nu = np.sqrt(np.maximum(inner, 0.0) / 2.0)
-    if v4.ndim > 2:
-        return np.where((rad < -1e-9) | (inner < -1e-12), np.nan, nu)
-    if rad < -1e-9:
-        raise InvalidCovariance(f"discriminant {rad:.3e} below tolerance")
-    if inner < -1e-12:
-        raise InvalidCovariance(f"negative radicand {inner:.3e}")
-    return nu
+    return np.where((rad < -1e-9) | (inner < -1e-12), np.nan, nu)[()]

@@ -9,10 +9,11 @@ agreement is the central correctness check of the package.
 :func:`build_matrix` assembles the 6x6 matrix, elementwise in the
 frequency, and :func:`transfer_closed_form` holds the cofactor expressions,
 both straight from the parameters, couplings and steady state.  The LU route and
-the spectrum take one frequency or an array of them; an array is assembled
-into a stack of 6x6 systems and solved in one batched pass, with resonance
-poles coming back as NaN.  :func:`spectrum_sweep` keeps NaN as the mark of
-a pole, as the entanglement sweep does for an unstable point.
+the spectrum take an array of frequencies, assembled into a stack of 6x6
+systems and solved in one batched pass with resonance poles coming back as
+NaN, or one frequency, which is the one-element array and raises
+PoleAtOmega at a pole.  :func:`spectrum_sweep` keeps NaN as the mark of a
+pole, as the entanglement sweep does for an unstable point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SingularMatrix, solve_complex
+from .numerics import solve_complex
 from .params import HBAR, K_BOLTZMANN, DerivedCouplings, SystemParams, derive_couplings
 from .steadystate import SteadyState, fixed_point
 
@@ -43,9 +44,15 @@ class TransferCoefficients:
     f_c: complex | np.ndarray
 
 
-def _omega(omega):
-    """A frequency argument as a float, or as a float array."""
-    return float(omega) if np.ndim(omega) == 0 else np.asarray(omega, dtype=float)
+def _per_point(omega, values):
+    """``values`` computed on ``np.atleast_1d(omega)``, leading axes first,
+    as the caller of a frequency ``omega`` gets them: unchanged for an
+    array, the one entry for a scalar, where a NaN marks a pole."""
+    if np.ndim(omega):
+        return values
+    if np.isnan(values).any():
+        raise PoleAtOmega(f"system matrix singular at omega={float(omega)!r}")
+    return values[0]
 
 
 def build_matrix(
@@ -121,20 +128,18 @@ def transfer_direct(
     """Transfer coefficients by solving the 6x6 system.
 
     The first row of the inverse is obtained from one pivoted-LU solve of
-    the transposed system against the first unit vector.  A single
-    frequency at a pole raises PoleAtOmega; on an array of frequencies the
-    systems are solved as one stack and the poles come back as NaN.
+    the transposed system against the first unit vector.  The systems of
+    an array of frequencies are solved as one stack and the poles come back
+    as NaN; a single frequency is a stack of one and raises PoleAtOmega at
+    a pole.
     """
-    omega = _omega(omega)
-    e1 = np.zeros(np.shape(omega) + (6,), dtype=np.complex128)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    e1 = np.zeros(w.shape + (6,), dtype=np.complex128)
     e1[..., 0] = 1.0
     # The stack is handed over unnamed, so once solve_complex has taken its
     # scratch copy the original is freed: a sweep holds one stack, not two.
-    try:
-        row = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, omega), -1, -2), e1)
-    except SingularMatrix as exc:
-        raise PoleAtOmega(f"system matrix singular at omega={omega!r}") from exc
-    m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
+    row = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e1)
+    m11, m12, m13, m14, _, m16 = np.moveaxis(_per_point(omega, row), -1, 0)
     return _output_map(params, m11, m12, m13, m14, m16)
 
 
@@ -273,15 +278,17 @@ def output_spectrum(
 
     1 is the shot-noise floor, values below 1 mean squeezing, 0 complete
     squeezing.  Needs the transfer coefficients at both +omega and -omega.
-    A single frequency at a pole raises PoleAtOmega; an array of
-    frequencies gives an array of values with NaN at the poles.
+    An array of frequencies gives an array of values with NaN at the poles;
+    a single frequency is computed as the one-element array, so it equals
+    its entry of an array call bit for bit, and raises PoleAtOmega at a
+    pole.
     """
-    omega = _omega(omega)
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
     # The +omega and -omega systems are solved as two stacks, not one stack
     # of twice the size, which keeps the peak memory of a sweep down.
-    tp = transfer_direct(params, couplings, ss, omega)
-    tm = transfer_direct(params, couplings, ss, -omega)
-    th = thermal_factor(params, omega)
+    tp = transfer_direct(params, couplings, ss, w)
+    tm = transfer_direct(params, couplings, ss, -w)
+    th = thermal_factor(params, w)
     u = tp.a_c + tp.c_c
     v = tm.b_c + tm.d_c
     s = (
@@ -292,7 +299,7 @@ def output_spectrum(
     )
     # The expression is a variance and non-negative by the triangle
     # inequality; clamp the rounding epsilon at complete-squeezing points.
-    return np.maximum(0.0, s)
+    return _per_point(omega, np.maximum(0.0, s))
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,23 @@ class TestEntangleCommand:
         assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--g", "1e300", "--points", "3"),
+        ("entangle", "--g", "1e300", "--points", "3"),
+        ("entangle", "--kappa", "1e300", "--points", "3"),
+    ],
+    ids=["spectrum-g", "entangle-g", "entangle-kappa"],
+)
+def test_overflowing_rate_is_a_numeric_failure(capsys, argv):
+    # finite, valid rates whose squares overflow a Python float
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_NUMERIC
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in out + err
+
+
 class TestCsv:
     def test_inf_and_nan_are_empty_cells(self):
         text = cli._csv(

@@ -138,11 +138,12 @@ class TestSteadyCovariance:
         np.testing.assert_allclose(v[0, 0], n + 0.5, rtol=1e-9)
         np.testing.assert_allclose(v[1, 1], n + 0.5, rtol=1e-9)
 
-    def test_unstable_raises(self, default_params):
+    def test_unstable_is_nan(self, default_params):
         p = default_params.replace(delta=0.0, gamma_m=-1.0)  # bypass validate on purpose
         ds = am.build_drift(p, _couplings_zero(), _vacuum_ss())
-        with pytest.raises(am.UnstableDrift):
-            am.steady_covariance(ds)
+        v = am.steady_covariance(ds)
+        assert v.shape == (6, 6)
+        assert np.all(np.isnan(v))
 
     def test_sweep_peak_memory(self, default_params):
         # the 500-point case-1, G = 25 kappa sweep solves its 486 stable
@@ -211,6 +212,14 @@ class TestLogNegativity:
         r = am.log_negativity(0.5 * np.eye(6))
         assert r.nu == pytest.approx(0.5, abs=1e-12)
         assert r.e_n == 0.0
+
+    def test_unphysical_covariance_is_unstable(self):
+        # the symplectic constraints fail, so there is no eigenvalue to
+        # report: the point reads as unstable, as it would in a sweep
+        v = np.eye(6)
+        v[0, 2] = v[2, 0] = 5.0
+        r = am.log_negativity(v, 1.5)
+        assert r == am.EntanglementResult(1.5, stable=False, e_n=None, nu=None)
 
     def test_two_mode_squeezed_injection(self):
         r = 0.5
@@ -306,15 +315,9 @@ class TestDetuningSweep:
         # point's own (6, 6) drift, built from scalar arithmetic
         p, grid = _fig3b_case8(default_params)
         table = am.detuning_sweep(p, grid)
-        want = []
-        for ds in _scalar_drifts(p, grid):
-            try:
-                v = am.steady_covariance(ds)
-            except am.UnstableDrift:
-                want.append(np.nan)
-                continue
-            want.append(am.symplectic_nu(v[:4, :4]))
-        want = np.array(want)
+        want = np.array(
+            [am.symplectic_nu(am.steady_covariance(ds)[:4, :4]) for ds in _scalar_drifts(p, grid)]
+        )
         np.testing.assert_array_equal(table.stable, np.isfinite(want))
         assert 0 < np.sum(table.stable) < len(grid)
         np.testing.assert_allclose(table.nu, want, rtol=1e-12, atol=0.0)

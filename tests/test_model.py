@@ -20,6 +20,13 @@ def _ss(beta, c_s):
     )
 
 
+def test_public_names_resolve_once():
+    names = am.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(am, name)]
+    assert missing == []
+
+
 class TestDerivedCouplings:
     def test_zero_excitation_limit(self, default_params):
         cpl = am.derive_couplings(default_params, _ss(0j, 0j))

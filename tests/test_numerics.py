@@ -33,11 +33,12 @@ class TestSolveComplex:
             res = np.max(np.abs(a @ x - b))
             assert res <= 1e-10 * (anorm * xnorm + bnorm)
 
-    def test_singular_raises(self):
+    def test_singular_is_nan(self):
         a = np.zeros((6, 6), dtype=complex)
         a[0, 0] = 1.0
-        with pytest.raises(am.SingularMatrix):
-            am.solve_complex(a, np.ones(6, dtype=complex))
+        x = am.solve_complex(a, np.ones(6, dtype=complex))
+        assert x.shape == (6,)
+        assert np.all(np.isnan(x))
 
     @pytest.mark.parametrize("eps", [5e-15, 2e-14])
     def test_pivot_threshold_each_side(self, eps):
@@ -48,8 +49,7 @@ class TestSolveComplex:
         stack = am.solve_complex(np.stack([np.eye(2), a]), np.stack([b, b]))
         np.testing.assert_array_equal(stack[0], b)
         if eps <= PIVOT_TOL:
-            with pytest.raises(am.SingularMatrix):
-                am.solve_complex(a, b)
+            assert np.all(np.isnan(am.solve_complex(a, b)))
             assert np.all(np.isnan(stack[1]))
         else:
             x = am.solve_complex(a, b)
@@ -294,9 +294,10 @@ class TestLyapunov:
             res = np.max(np.abs(j @ v + v @ j.T + d))
             assert res <= 1e-9 * np.max(np.abs(d))
 
-    def test_unstable_raises(self):
-        with pytest.raises(am.UnstableDrift):
-            am.lyapunov_solve(np.eye(6), np.eye(6))
+    def test_unstable_is_nan(self):
+        v = am.lyapunov_solve(np.eye(6), np.eye(6))
+        assert v.shape == (6, 6)
+        assert np.all(np.isnan(v))
 
     def test_imaginary_axis_pair_is_unstable(self):
         # a rotation block puts eigenvalues +-i on the imaginary axis: the
@@ -306,8 +307,7 @@ class TestLyapunov:
         j[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
         d = np.eye(6)
         assert not is_stable(am.DriftSystem(j=j, d=d))
-        with pytest.raises(am.UnstableDrift):
-            am.lyapunov_solve(j, d)
+        assert np.all(np.isnan(am.lyapunov_solve(j, d)))
         v = am.lyapunov_solve(np.stack([-np.eye(6), j]), np.stack([d, d]))
         assert np.array_equal(v[0], 0.5 * np.eye(6))
         assert np.all(np.isnan(v[1]))
@@ -316,7 +316,7 @@ class TestLyapunov:
         # 101 systems; the first two, the last two and every fifth drift
         # keep a right-half-plane root (rows 3 and 4 are neighbours), and
         # one stable drift has a pivot at rounding level, so those come
-        # back NaN from the stack and raise on their own
+        # back NaN from the stack and on their own
         rng = np.random.default_rng(29)
         n = 101
         js = rng.normal(size=(n, 6, 6))
@@ -331,20 +331,13 @@ class TestLyapunov:
         v = am.lyapunov_solve(js, ds)
         assert v.shape == (n, 6, 6)
         for k in range(n):
-            if unstable[k]:
-                assert np.all(np.isnan(v[k]))
-                with pytest.raises(am.UnstableDrift):
-                    am.lyapunov_solve(js[k], ds[k])
-            elif k == 7:
-                assert np.all(np.isnan(v[k]))
-                with pytest.raises(am.SingularSystem):
-                    am.lyapunov_solve(js[k], ds[k])
-            else:
-                assert np.array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
+            assert np.all(np.isnan(v[k])) == (unstable[k] or k == 7)
+            np.testing.assert_array_equal(v[k], am.lyapunov_solve(js[k], ds[k]))
 
     def test_one_lu_call_per_stack(self, monkeypatch):
         # every third drift is unstable: the other 106 go to lu_solve in
-        # one call, and an all-unstable stack or drift makes no call
+        # one call, and an all-unstable stack or drift makes no call and
+        # gives NaN
         calls = []
 
         def counting(a, b):
@@ -360,9 +353,8 @@ class TestLyapunov:
         calls.clear()
         v = am.lyapunov_solve(js[::3], ds[::3])
         assert calls == [] and np.isnan(v).all()
-        with pytest.raises(am.UnstableDrift):
-            am.lyapunov_solve(js[0], ds[0])
-        assert calls == []
+        v = am.lyapunov_solve(js[0], ds[0])
+        assert calls == [] and v.shape == (6, 6) and np.isnan(v).all()
 
 
 def _stable_stack(rng, n, size):
@@ -433,21 +425,24 @@ class TestSymplecticNu:
             want = symplectic_nu_oracle(v)
             assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))
 
-    def test_invalid_covariance_raises(self):
+    def test_invalid_covariance_is_nan(self):
         v = np.diag([1.0, 1.0, 1.0, 1.0])
         v[0, 2] = v[2, 0] = 5.0  # wildly unphysical cross correlations
-        with pytest.raises(am.InvalidCovariance):
-            am.symplectic_nu(v)
+        assert np.isnan(am.symplectic_nu(v))
+
+    def test_one_covariance_gives_a_float64(self):
+        # a scalar, not a 0-d array, so it formats like the float it is
+        nu = am.symplectic_nu(0.5 * np.eye(4))
+        assert type(nu) is np.float64
+        assert f"{nu:.6f}" == "0.500000"
 
     def test_stack_with_invalid_row(self):
         rng = np.random.default_rng(37)
         vs = np.array([random_covariance(rng) for _ in range(9)])
         vs[4] = np.eye(4)
         vs[4, 0, 2] = vs[4, 2, 0] = 5.0
-        with pytest.raises(am.InvalidCovariance):
-            am.symplectic_nu(vs[4])
+        assert np.isnan(am.symplectic_nu(vs[4]))
         nu = am.symplectic_nu(vs)
         assert nu.shape == (9,)
         assert np.isnan(nu[4])
-        for k in (0, 1, 2, 3, 5, 6, 7, 8):
-            assert nu[k] == am.symplectic_nu(vs[k])
+        np.testing.assert_array_equal(nu, [am.symplectic_nu(v) for v in vs])

@@ -147,6 +147,27 @@ class TestTransferRoutes:
 
 
 class TestOutputSpectrum:
+    def test_scalar_pole_raises(self, default_params):
+        # the lossless-cavity pole of test_pole_raises, through the spectrum
+        p = default_params.replace(kappa=0.0, coupling_G=0.0, delta=0.9 * default_params.omega_m)
+        ss = am.fixed_point(p)
+        cpl = am.derive_couplings(p, ss)
+        with pytest.raises(am.PoleAtOmega):
+            am.output_spectrum(p, cpl, ss, 0.9 * default_params.omega_m)
+
+    def test_per_point_calls_equal_the_array_call(self, default_params):
+        # a scalar frequency is a one-element array, so it rounds like its
+        # entry of the whole grid, in the last bit too
+        p = default_params.with_case(2.5, 2.5).replace(
+            coupling_G=50.0 * default_params.kappa, delta=-default_params.omega_m
+        )
+        ss = am.fixed_point(p)
+        cpl = am.derive_couplings(p, ss)
+        grid = np.linspace(0.5, 1.5, 200) * p.omega_m
+        one = [am.output_spectrum(p, cpl, ss, w) for w in grid]
+        assert all(type(s) is np.float64 for s in one)
+        np.testing.assert_array_equal(one, am.output_spectrum(p, cpl, ss, grid))
+
     def test_shot_noise_floor(self, default_params):
         p, ss, cpl = _zero_coupling(default_params)
         for w in np.linspace(0.5, 1.5, 25) * p.omega_m:
