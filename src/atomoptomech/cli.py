@@ -1,11 +1,12 @@
 """Command-line interface: steady, spectrum, entangle, reproduce, verify.
 
-Units at the CLI mirror the way operating points are usually quoted:
-``--g`` and ``--gamma-a`` in units of kappa, ``--delta`` and ``--gamma-m``
-in units of omega_m, everything else SI.  Config files are flat
-``key = value`` text with SI values and keys named exactly after the
-SystemParams fields; flags override file values.  The environment variable
-ATOMOPTOMECH_CONFIG supplies a default config path.
+The parameter flags come from one table, PARAM_FLAGS, and a command takes
+none for a field it sets itself.  Units at the CLI mirror the way operating
+points are usually quoted: ``--g`` and ``--gamma-a`` in units of kappa,
+``--delta`` and ``--gamma-m`` in units of omega_m, everything else SI.
+Config files are flat ``key = value`` text with SI values, keyed by a
+SystemParams field or ``wavelength``; flags override file values.  The
+environment variable ATOMOPTOMECH_CONFIG supplies a default config path.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .entanglement import detuning_sweep
-from .params import C_LIGHT, SystemParams, param_names, validate
+from .params import BACKACTION_WEIGHTS, C_LIGHT, SystemParams, validate
 from .selfcheck import run_verification
 from .spectrum import PoleAtOmega, spectrum_sweep
 from .steadystate import NoRoot, fixed_point
@@ -36,6 +38,9 @@ EXIT_CONFIG = 2
 _NUMERIC_ERRORS = (NoRoot, PoleAtOmega, OverflowError)
 
 CASE_PRESETS = {"1": (1.0, 1.0), "2.5": (2.5, 2.5), "8": (8.0, 8.0)}
+# The couplings of a spectrum panel [units of kappa]: fig2's, and the
+# default of ``spectrum``.
+PANEL_COUPLINGS = (25.0, 50.0, 75.0, 100.0)
 
 
 class ConfigError(Exception):
@@ -56,8 +61,9 @@ def _run_config(args, *paths) -> SystemParams:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value config (SI units, SystemParams field names)."""
-    allowed = set(param_names()) | {"backaction_weight", "wavelength"}
+    """Flat key = value config: SI values, keyed by a SystemParams field or
+    ``wavelength``."""
+    allowed = {f.name for f in fields(SystemParams)} | {"wavelength"}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -81,8 +87,46 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# One row per parameter flag: (argparse dest, config key it sets, unit, help).
+# The flag is the dest in lower case with dashes.  An "SI" value is set as it
+# is; a "kappa" or "omega_m" value is multiplied by that field once the SI
+# flags are in.
+PARAM_FLAGS = (
+    ("omega_m", "omega_m", "SI", "mechanical angular frequency [rad/s]"),
+    ("kappa", "kappa", "SI", "cavity decay rate [rad/s]"),
+    ("gamma_a", "gamma_a", "kappa", "collective atomic decay"),
+    ("gamma_m", "gamma_m", "omega_m", "mechanical damping"),
+    ("n_atoms", "n_atoms", "SI", "atom count"),
+    ("g", "coupling_G", "kappa", "atom-cavity coupling"),
+    ("coupling_G", "coupling_G", "SI", "atom-cavity coupling [rad/s] (SI alternative to --g)"),
+    ("delta", "delta", "omega_m", "effective cavity detuning"),
+    ("delta_r", "delta_r", "SI", "dimensionless effective atomic detuning"),
+    ("gamma_r", "gamma_r", "SI", "dimensionless effective atomic decay"),
+    ("cavity_length", "cavity_length", "SI", "cavity length [m]"),
+    ("mirror_mass", "mirror_mass", "SI", "mirror mass [kg]"),
+    ("omega_c", "omega_c", "SI", "cavity angular frequency [rad/s]"),
+    ("wavelength", "wavelength", "SI", "cavity wavelength [m] (alternative to --omega-c)"),
+    ("temperature", "temperature", "SI", "mechanical bath temperature [K]"),
+    ("n_thermal", "n_thermal", "SI", "mean thermal phonon number"),
+    ("chi", "chi", "SI", "collective drive amplitude [rad/s] (optional)"),
+    ("delta_a", "delta_a", "SI", "bare atomic detuning [rad/s] (optional)"),
+    ("backaction_weight", "backaction_weight", "SI",
+     "weight of the backaction term when inferring the drive amplitude"),
+)
+
+
+def _layer(params: SystemParams, values: dict) -> SystemParams:
+    """``params`` with the SI ``values`` of one layer set, keyed as in a
+    config file; a ``wavelength`` beats an ``omega_c`` of the same layer."""
+    values = dict(values)
+    wavelength = values.pop("wavelength", None)
+    if wavelength is not None:
+        values["omega_c"] = 2 * math.pi * C_LIGHT / wavelength
+    return params.replace(**values)
+
+
 def build_params(args) -> SystemParams:
-    """Defaults <- config file <- SI flags <- scaled flags, in that order."""
+    """Defaults <- config file <- SI flags <- scaled flags <- ``--case``."""
     file_vals: dict = {}
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
@@ -91,93 +135,34 @@ def build_params(args) -> SystemParams:
             print(f"warning: {ENV_CONFIG}={path} does not exist; ignored", file=sys.stderr)
         else:
             file_vals = parse_config_file(path)
+    params = _layer(SystemParams(), file_vals)
 
-    wavelength = file_vals.pop("wavelength", None)
-    params = SystemParams(**file_vals)
-    if wavelength is not None:
-        params = params.replace(omega_c=2 * math.pi * C_LIGHT / wavelength)
-
-    si_flags = (
-        "omega_m",
-        "kappa",
-        "n_atoms",
-        "coupling_G",
-        "cavity_length",
-        "mirror_mass",
-        "omega_c",
-        "temperature",
-        "n_thermal",
-        "chi",
-        "delta_a",
-        "delta_r",
-        "gamma_r",
-        "backaction_weight",
+    flags = [(key, unit, getattr(args, dest, None)) for dest, key, unit, _ in PARAM_FLAGS]
+    flags = [(key, unit, val) for key, unit, val in flags if val is not None]
+    params = _layer(params, {key: val for key, unit, val in flags if unit == "SI"})
+    params = params.replace(
+        **{key: val * getattr(params, unit) for key, unit, val in flags if unit != "SI"}
     )
-    updates = {}
-    for name in si_flags:
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    if getattr(args, "wavelength", None) is not None:
-        updates["omega_c"] = 2 * math.pi * C_LIGHT / args.wavelength
-    if updates:
-        params = params.replace(**updates)
-
-    scaled = {}
-    g_flag = getattr(args, "g", None)
-    if g_flag is not None and not isinstance(g_flag, list):
-        scaled["coupling_G"] = g_flag * params.kappa
-    if getattr(args, "gamma_a", None) is not None:
-        scaled["gamma_a"] = args.gamma_a * params.kappa
-    if getattr(args, "gamma_m", None) is not None:
-        scaled["gamma_m"] = args.gamma_m * params.omega_m
-    if getattr(args, "delta", None) is not None:
-        scaled["delta"] = args.delta * params.omega_m
-    if scaled:
-        params = params.replace(**scaled)
 
     case = getattr(args, "case", None)
     if case is not None:
-        dr, gr = CASE_PRESETS[case]
-        params = params.replace(delta_r=dr, gamma_r=gr)
+        params = params.with_case(*CASE_PRESETS[case])
     return params
 
 
-def _add_param_flags(p: argparse.ArgumentParser, repeatable_g: bool = False):
+def _add_param_flags(p: argparse.ArgumentParser, sets: tuple = ()):
+    """The config and parameter flags, but none for a field in ``sets``,
+    which the command sets itself (``--case`` sets delta_r and gamma_r)."""
     p.add_argument("--config", help="config file path (key = value, SI units)")
-    p.add_argument("--omega-m", type=float, help="mechanical angular frequency [rad/s]")
-    p.add_argument("--kappa", type=float, help="cavity decay rate [rad/s]")
-    p.add_argument("--gamma-a", type=float, help="collective atomic decay [units of kappa]")
-    p.add_argument("--gamma-m", type=float, help="mechanical damping [units of omega_m]")
-    p.add_argument("--n-atoms", type=float, help="atom count")
-    if repeatable_g:
-        p.add_argument(
-            "--g",
-            type=float,
-            action="append",
-            help="atom-cavity coupling [units of kappa], repeatable",
-        )
-    else:
-        p.add_argument("--g", type=float, help="atom-cavity coupling [units of kappa]")
-    p.add_argument("--coupling-g", dest="coupling_G", type=float,
-                   help="atom-cavity coupling [rad/s] (SI alternative to --g)")
-    p.add_argument("--delta", type=float, help="effective cavity detuning [units of omega_m]")
-    p.add_argument("--delta-r", type=float, help="dimensionless effective atomic detuning")
-    p.add_argument("--gamma-r", type=float, help="dimensionless effective atomic decay")
-    p.add_argument("--case", choices=sorted(CASE_PRESETS), help="preset delta_r = gamma_r value")
-    p.add_argument("--cavity-length", type=float, help="cavity length [m]")
-    p.add_argument("--mirror-mass", type=float, help="mirror mass [kg]")
-    p.add_argument("--omega-c", type=float, help="cavity angular frequency [rad/s]")
-    p.add_argument("--wavelength", type=float, help="cavity wavelength [m] (alternative to --omega-c)")
-    p.add_argument("--temperature", type=float, help="mechanical bath temperature [K]")
-    p.add_argument("--n-thermal", type=float, help="mean thermal phonon number")
-    p.add_argument("--chi", type=float, help="collective drive amplitude [rad/s] (optional)")
-    p.add_argument("--delta-a", type=float, help="bare atomic detuning [rad/s] (optional)")
-    p.add_argument(
-        "--backaction-weight",
-        choices=("delta", "kappa"),
-        help="weight of the backaction term when inferring the drive amplitude",
-    )
+    for dest, key, unit, help_text in PARAM_FLAGS:
+        if key in sets:
+            continue
+        kind = {"choices": BACKACTION_WEIGHTS} if key == "backaction_weight" else {"type": float}
+        if unit != "SI":
+            help_text += f" [units of {unit}]"
+        p.add_argument("--" + dest.lower().replace("_", "-"), dest=dest, help=help_text, **kind)
+    if "delta_r" not in sets:
+        p.add_argument("--case", choices=sorted(CASE_PRESETS), help="preset delta_r = gamma_r value")
 
 
 def _write_text(path: str, text: str):
@@ -265,7 +250,7 @@ def cmd_spectrum(args) -> int:
     params = _run_config(args, args.out, args.svg)
     table = spectrum_sweep(
         params,
-        tuple(args.g) if args.g else (25.0, 50.0, 75.0, 100.0),
+        tuple(args.couplings or PANEL_COUPLINGS),
         np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m,
     )
     return _emit(args, spectrum_csv(table), lambda: _spectrum_svg(table))
@@ -285,14 +270,14 @@ def cmd_entangle(args) -> int:
 
 def _reproduce_fig2(params, outdir, points):
     files = []
-    for tag, case in (("a", (1.0, 1.0)), ("b", (2.5, 2.5)), ("c", (8.0, 8.0))):
-        p = params.replace(delta=-params.omega_m)
-        grid = np.linspace(0.5, 1.5, points) * p.omega_m
-        table = spectrum_sweep(p.with_case(*case), (25.0, 50.0, 75.0, 100.0), grid)
+    p = params.replace(delta=-params.omega_m)
+    grid = np.linspace(0.5, 1.5, points) * p.omega_m
+    for tag, case in zip("abc", CASE_PRESETS):
+        table = spectrum_sweep(p.with_case(*CASE_PRESETS[case]), PANEL_COUPLINGS, grid)
         csv_path = os.path.join(outdir, f"fig2{tag}.csv")
         _write_text(csv_path, spectrum_csv(table))
         svg_path = os.path.join(outdir, f"fig2{tag}.svg")
-        _write_text(svg_path, _spectrum_svg(table, f"panel {tag}: delta_r = gamma_r = {case[0]:g}"))
+        _write_text(svg_path, _spectrum_svg(table, f"panel {tag}: delta_r = gamma_r = {case}"))
         files += [csv_path, svg_path]
     return files
 
@@ -317,8 +302,10 @@ def _entangle_panels(fig, params, outdir, points, columns):
 
 
 def _reproduce_fig3(params, outdir, points):
-    cases = (("1", (1.0, 1.0)), ("8", (8.0, 8.0)))
-    columns = [(f"e_n_case{t}", f"delta_r = gamma_r = {t}", params.with_case(*c)) for t, c in cases]
+    columns = [
+        (f"e_n_case{t}", f"delta_r = gamma_r = {t}", params.with_case(*CASE_PRESETS[t]))
+        for t in ("1", "8")
+    ]
     return _entangle_panels("fig3", params, outdir, points, columns)
 
 
@@ -326,7 +313,7 @@ def _reproduce_fig4(params, outdir, points):
     columns = []
     for n_atoms in (1e6, 1e7):
         label = f"e_n_n{n_atoms:.0e}".replace("+0", "")
-        columns.append((label, label, params.replace(n_atoms=n_atoms).with_case(1.0, 1.0)))
+        columns.append((label, label, params.replace(n_atoms=n_atoms).with_case(*CASE_PRESETS["1"])))
     return _entangle_panels("fig4", params, outdir, points, columns)
 
 
@@ -334,16 +321,16 @@ def cmd_reproduce(args) -> int:
     params = _run_config(args)
     os.makedirs(args.outdir, exist_ok=True)
     jobs = {
-        "fig2": (_reproduce_fig2, args.points or 2000),
-        "fig3": (_reproduce_fig3, args.points or 500),
-        "fig4": (_reproduce_fig4, args.points or 500),
+        "fig2": (_reproduce_fig2, 2000),
+        "fig3": (_reproduce_fig3, 500),
+        "fig4": (_reproduce_fig4, 500),
     }
     failures = 0
     targets = [args.figure] if args.figure != "all" else ["fig2", "fig3", "fig4"]
     for name in targets:
-        fn, pts = jobs[name]
+        fn, default_points = jobs[name]
         try:
-            files = fn(params, args.outdir, pts)
+            files = fn(params, args.outdir, default_points if args.points is None else args.points)
             for f in files:
                 print(f"wrote {f}")
         except Exception as exc:  # noqa: BLE001 - panel isolation is the contract
@@ -375,7 +362,10 @@ def main(argv=None) -> int:
     p_steady.set_defaults(func=cmd_steady)
 
     p_spec = sub.add_parser("spectrum", help="output intensity squeezing spectrum sweep")
-    _add_param_flags(p_spec, repeatable_g=True)
+    _add_param_flags(p_spec, sets=("coupling_G",))
+    p_spec.add_argument("--g", dest="couplings", type=float, action="append",
+                        help="atom-cavity coupling [units of kappa], repeatable; "
+                             "default 25, 50, 75 and 100")
     p_spec.add_argument("--omega-min", type=float, default=0.5, help="grid start [omega_m]")
     p_spec.add_argument("--omega-max", type=float, default=1.5, help="grid end [omega_m]")
     p_spec.add_argument("--points", type=int, default=2000)
@@ -384,7 +374,7 @@ def main(argv=None) -> int:
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_ent = sub.add_parser("entangle", help="log-negativity detuning sweep")
-    _add_param_flags(p_ent)
+    _add_param_flags(p_ent, sets=("delta",))
     p_ent.add_argument("--delta-min", type=float, default=0.0, help="grid start [omega_m]")
     p_ent.add_argument("--delta-max", type=float, default=3.0, help="grid end [omega_m]")
     p_ent.add_argument("--points", type=int, default=500)
@@ -392,11 +382,15 @@ def main(argv=None) -> int:
     p_ent.add_argument("--svg", help="SVG output path")
     p_ent.set_defaults(func=cmd_entangle)
 
-    p_rep = sub.add_parser("reproduce", help="regenerate the reference figure data sets")
-    _add_param_flags(p_rep)
+    # No abbreviations here: reproduce takes no --delta, and argparse would
+    # read one as --delta-a, the one flag it prefixes.
+    p_rep = sub.add_parser(
+        "reproduce", help="regenerate the reference figure data sets", allow_abbrev=False
+    )
+    _add_param_flags(p_rep, sets=("coupling_G", "delta", "delta_r", "gamma_r"))
     p_rep.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
     p_rep.add_argument("--outdir", default=".")
-    p_rep.add_argument("--points", type=int, default=None)
+    p_rep.add_argument("--points", type=int, help="default 2000 for fig2, 500 for fig3 and fig4")
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_ver = sub.add_parser("verify", help="run the built-in oracle cross-checks")

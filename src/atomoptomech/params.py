@@ -15,7 +15,7 @@ Setting ``chi``/``delta_a`` explicitly bypasses the inference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ DEFAULT_WAVELENGTH = 1064e-9
 
 _DEFAULT_OMEGA_M = 2 * math.pi * 4e7
 _DEFAULT_KAPPA = 2 * math.pi * 2.5e6
+
+BACKACTION_WEIGHTS = ("delta", "kappa")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def validate(params: SystemParams) -> list[str]:
             raise ValueError(f"{name} must be finite, got {val!r}")
     if not math.isfinite(params.n_atoms) or params.n_atoms < 1:
         raise ValueError(f"n_atoms must be finite and >= 1, got {params.n_atoms!r}")
-    if params.backaction_weight not in ("delta", "kappa"):
+    if params.backaction_weight not in BACKACTION_WEIGHTS:
         raise ValueError(
             f"backaction_weight must be 'delta' or 'kappa', got {params.backaction_weight!r}"
         )
@@ -230,8 +232,3 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
         g3_mu=-g3.imag,
         g3_nu=g3.real,
     )
-
-
-def param_names() -> list[str]:
-    """Names of the plain numeric fields (config-file keys)."""
-    return [f.name for f in fields(SystemParams) if f.name != "backaction_weight"]

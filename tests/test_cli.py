@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -133,6 +134,128 @@ class TestConfig:
         code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and "'bogus'" in err
+
+
+# The SI flags by argparse dest, which is the SystemParams field each sets.
+SI_FLAGS = (
+    "omega_m", "kappa", "n_atoms", "coupling_G", "delta_r", "gamma_r", "cavity_length",
+    "mirror_mass", "omega_c", "temperature", "n_thermal", "chi", "delta_a",
+)
+
+
+class TestParamTable:
+    def test_every_field_and_wavelength_is_a_config_key(self, tmp_path):
+        keys = [f.name for f in dataclasses.fields(am.SystemParams)] + ["wavelength"]
+        assert {"gamma_a", "gamma_m", "delta"} <= set(keys)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "".join(f"{k} = {'kappa' if k == 'backaction_weight' else 0.75}\n" for k in keys)
+        )
+        values = cli.parse_config_file(str(cfg))
+        assert sorted(values) == sorted(keys)
+        p = cli.build_params(_Namespace(config=str(cfg)))
+        for key in keys:
+            if key not in ("omega_c", "wavelength", "backaction_weight"):
+                assert getattr(p, key) == 0.75, key
+        assert p.omega_c == 2 * math.pi * 299792458.0 / 0.75
+        assert p.backaction_weight == "kappa"
+
+    @pytest.mark.parametrize("dest", SI_FLAGS)
+    def test_si_flag_sets_its_field(self, dest, monkeypatch):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        p = cli.build_params(_Namespace(**{dest: 0.75}))
+        assert p == am.SystemParams().replace(**{dest: 0.75})
+
+    @pytest.mark.parametrize(
+        "dest, field, scale",
+        [
+            ("g", "coupling_G", "kappa"),
+            ("gamma_a", "gamma_a", "kappa"),
+            ("gamma_m", "gamma_m", "omega_m"),
+            ("delta", "delta", "omega_m"),
+        ],
+    )
+    def test_scaled_flag_is_taken_after_the_si_flags(self, dest, field, scale, tmp_path):
+        # the scale is the SI flag's value, else the file's; the scaled
+        # flag beats the file's value of its own field
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{scale} = 7.0\n{field} = 11.0\n")
+        ns = _Namespace(config=str(cfg), **{dest: -1.5, scale: 3.0})
+        assert getattr(cli.build_params(ns), field) == -1.5 * 3.0
+        ns = _Namespace(config=str(cfg), **{dest: -1.5})
+        assert getattr(cli.build_params(ns), field) == -1.5 * 7.0
+
+    def test_scaled_g_beats_si_coupling_g(self):
+        p = cli.build_params(_Namespace(g=2.0, coupling_G=1e9, kappa=3.0))
+        assert p.coupling_G == 6.0
+
+    def test_wavelength_beats_omega_c_within_a_layer(self, tmp_path):
+        omega_780 = 2 * math.pi * 299792458.0 / 780e-9
+        omega_532 = 2 * math.pi * 299792458.0 / 532e-9
+        ns = _Namespace(omega_c=1e15, wavelength=532e-9)
+        assert cli.build_params(ns).omega_c == omega_532
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text("omega_c = 1e15\nwavelength = 780e-9\n")
+        assert cli.build_params(_Namespace(config=str(cfg))).omega_c == omega_780
+
+    def test_a_flag_beats_the_file(self, tmp_path):
+        cfg = tmp_path / "wl.cfg"
+        cfg.write_text("wavelength = 780e-9\n")
+        assert cli.build_params(_Namespace(config=str(cfg), omega_c=2e15)).omega_c == 2e15
+        cfg.write_text("omega_c = 2e15\n")
+        ns = _Namespace(config=str(cfg), wavelength=532e-9)
+        assert cli.build_params(ns).omega_c == 2 * math.pi * 299792458.0 / 532e-9
+
+
+# A command takes no flag for a field it sets itself: spectrum sweeps G
+# (its own repeatable --g), entangle sweeps delta, and reproduce sets G,
+# delta, delta_r and gamma_r for every panel.
+REMOVED_FLAGS = [
+    ("spectrum", "--coupling-g", "1e8"),
+    ("entangle", "--delta", "0.7"),
+    ("reproduce", "--g", "60"),
+    ("reproduce", "--coupling-g", "1e8"),
+    ("reproduce", "--delta", "0.5"),
+    ("reproduce", "--delta-r", "2"),
+    ("reproduce", "--gamma-r", "2"),
+    ("reproduce", "--case", "8"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS]
+)
+def test_removed_flag_exits_2_and_writes_nothing(capsys, tmp_path, command, flag, value):
+    # the full flag must not be read as a kept flag it prefixes
+    # (reproduce --delta as --delta-a, say): argparse rejects it
+    if command == "reproduce":
+        argv = [command, "all", "--outdir", str(tmp_path / "out"), "--points", "3"]
+    else:
+        argv = [command, "--points", "3", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag} {value}" in err or (
+        f"error: ambiguous option: {flag} could match" in err
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--case", "2.5", "--omega-min", "0.5", "--omega-max", "1.5", "--points",
+         "3", "--g", "25", "--g", "50", "--g", "75", "--g", "100"],
+        ["entangle", "--case", "1", "--g", "25", "--delta-min", "0", "--delta-max", "3",
+         "--points", "3"],
+    ],
+    ids=["spectrum", "entangle"],
+)
+def test_benchmark_argv_still_parse(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK and err == ""
+    assert len(out.splitlines()) == 4
 
 
 class _Namespace:
@@ -332,6 +455,9 @@ class TestReproduceCommand:
             assert lines[0].count(",") == 4  # x column + 4 coupling columns
             assert len(lines) == 16
             assert (tmp_path / f"fig2{tag}.svg").exists()
+        for tag, case in zip("abc", ("1", "2.5", "8")):
+            title = f">panel {tag}: delta_r = gamma_r = {case}<"
+            assert title in (tmp_path / f"fig2{tag}.svg").read_text()
 
     def test_fig3_fig4_panel_sets(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -350,6 +476,16 @@ class TestReproduceCommand:
             lines = (tmp_path / f"fig4{tag}.csv").read_text().splitlines()
             assert lines[0].startswith("delta_over_omega_m,e_n_n1e")
             assert len(lines) == 8
+
+    def test_zero_points_writes_header_only_panels(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "reproduce", "all", "--outdir", str(tmp_path), "--points", "0",
+        )
+        assert code == cli.EXIT_OK and err == ""
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 7 and len(list(tmp_path.glob("*.svg"))) == 7
+        for csv in csvs:
+            assert csv.read_text().count("\n") == 1, csv.name
 
     def test_failed_panel_is_isolated_and_named(self, capsys, tmp_path, monkeypatch):
         def broken(params, outdir, points):
