@@ -121,6 +121,8 @@ def _layer(params: SystemParams, values: dict) -> SystemParams:
     values = dict(values)
     wavelength = values.pop("wavelength", None)
     if wavelength is not None:
+        if not math.isfinite(wavelength) or wavelength <= 0:
+            raise ConfigError(f"wavelength must be finite and positive, got {wavelength!r}")
         values["omega_c"] = 2 * math.pi * C_LIGHT / wavelength
     return params.replace(**values)
 

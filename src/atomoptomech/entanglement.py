@@ -63,16 +63,27 @@ def build_drift(
 ) -> DriftSystem:
     """Drift and diffusion matrices in the quadrature basis: (6, 6) each,
     or a ``delta.shape + (6, 6)`` stack when ``params.delta`` and with it
-    the couplings are arrays over a grid of detunings."""
+    the couplings are arrays over a grid of detunings.
+
+    The drift is the one encoding of the linearized dynamics: the
+    frequency-domain system matrix of :func:`~atomoptomech.spectrum.build_matrix`
+    is this drift in the complex basis.  Its real entries are the
+    quadrature projections of the couplings, with a = (X + iY)/sqrt(2) and
+    c = (U + iV)/sqrt(2).
+    """
     c = couplings
     g2 = c.g2.real  # depletion-corrected coupling is real by construction
+    sqrt2_g0 = math.sqrt(2.0) * c.g0
+    g_px, g_py = sqrt2_g0 * ss.c_s.real, sqrt2_g0 * ss.c_s.imag
+    g_mu, g_nu = -c.g1.imag, c.g1.real
+    g3_mu, g3_nu = -c.g3.imag, c.g3.real
     entries = np.broadcast_arrays(
         0.0, params.omega_m, 0.0, 0.0, 0.0, 0.0,
-        -params.omega_m, -params.gamma_m, c.g_px, c.g_py, 0.0, 0.0,
-        -c.g_py, 0.0, -params.kappa, params.delta, c.g3_mu, g2 + c.g3_nu,
-        c.g_px, 0.0, -params.delta, -params.kappa, c.g3_nu - g2, -c.g3_mu,
-        0.0, 0.0, c.g3_mu, g2 + c.g3_nu, c.g_mu - params.gamma_a, c.g_nu + c.delta_a_prime,
-        0.0, 0.0, c.g3_nu - g2, -c.g3_mu, c.g_nu - c.delta_a_prime, -params.gamma_a - c.g_mu,
+        -params.omega_m, -params.gamma_m, g_px, g_py, 0.0, 0.0,
+        -g_py, 0.0, -params.kappa, params.delta, g3_mu, g2 + g3_nu,
+        g_px, 0.0, -params.delta, -params.kappa, g3_nu - g2, -g3_mu,
+        0.0, 0.0, g3_mu, g2 + g3_nu, g_mu - params.gamma_a, g_nu + c.delta_a_prime,
+        0.0, 0.0, g3_nu - g2, -g3_mu, g_nu - c.delta_a_prime, -params.gamma_a - g_mu,
     )
     j = np.stack(entries, axis=-1).reshape(entries[0].shape + (6, 6))
     d = np.zeros_like(j)

@@ -75,11 +75,13 @@ class SystemParams:
 class DerivedCouplings:
     """Linearization coefficients at a given steady state.
 
-    g1/g3 are the parametric (conjugate-mode) couplings picked up from the
-    excitation correction, g2 the excitation-depleted atom-cavity coupling,
-    and the g_* quantities are the real quadrature-frame couplings entering
-    the drift matrix.  The fields that depend on the detuning (g1,
-    delta_a_prime, g_px, g_py, g_mu, g_nu) are arrays of its shape when
+    g0 is the single-photon radiation-pressure coupling (0 means no
+    radiation pressure), g1/g3 the parametric (conjugate-mode) couplings
+    picked up from the excitation correction, g2 the excitation-depleted
+    atom-cavity coupling and delta_a_prime the shifted atomic detuning.
+    The drift matrix takes its real quadrature-frame entries from these
+    and the steady state, so there is no second copy of them.  g1 and
+    delta_a_prime depend on the detuning and are arrays of its shape when
     ``params.delta`` is an array.
     """
 
@@ -88,12 +90,6 @@ class DerivedCouplings:
     g2: complex
     g3: complex
     delta_a_prime: float
-    g_px: float
-    g_py: float
-    g_mu: float
-    g_nu: float
-    g3_mu: float
-    g3_nu: float
 
 
 _POSITIVE_FIELDS = (
@@ -193,10 +189,10 @@ def infer_drive(params: SystemParams, excitation: float) -> tuple[float, float]:
 def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
     """All linearization coefficients at the steady state ``ss``.
 
-    Deterministic in its inputs.  The quadrature-frame couplings follow
-    from substituting the quadrature definitions into the linearized
-    equations of motion, which keeps the drift matrix real and similar to
-    the frequency-domain system matrix (same eigenvalues).  An array
+    Deterministic in its inputs.  :func:`~atomoptomech.entanglement.build_drift`
+    writes the linearized equations of motion from these in the quadrature
+    basis, and the frequency-domain system matrix is that drift in the
+    complex basis.  An array
     ``params.delta``, with the matching array ``ss.c_s`` from
     :func:`fixed_point`, gives the couplings over that grid of detunings.
     """
@@ -218,17 +214,4 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
         - 2.0 * (chi / sqrt_n) * beta.real
     )
 
-    sqrt2 = math.sqrt(2.0)
-    return DerivedCouplings(
-        g0=g0,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        delta_a_prime=delta_a_prime,
-        g_px=sqrt2 * g0 * ss.c_s.real,
-        g_py=sqrt2 * g0 * ss.c_s.imag,
-        g_mu=-g1.imag,
-        g_nu=g1.real,
-        g3_mu=-g3.imag,
-        g3_nu=g3.real,
-    )
+    return DerivedCouplings(g0=g0, g1=g1, g2=g2, g3=g3, delta_a_prime=delta_a_prime)

@@ -6,14 +6,17 @@ coefficients from the input noises to the output field: an LU solve of the
 6x6 system, and the expanded cofactor (closed-form) expressions.  Their
 agreement is the central correctness check of the package.
 
-:func:`build_matrix` assembles the 6x6 matrix, elementwise in the
-frequency, and :func:`transfer_closed_form` holds the cofactor expressions,
-both straight from the parameters, couplings and steady state.  The LU route and
-the spectrum take an array of frequencies, assembled into a stack of 6x6
-systems and solved in one batched pass with resonance poles coming back as
-NaN, or one frequency, which is the one-element array and raises
-PoleAtOmega at a pole.  :func:`spectrum_sweep` keeps NaN as the mark of a
-pole, as the entanglement sweep does for an unstable point.
+:func:`build_matrix` takes the linearized dynamics from the one place
+that writes them, the quadrature drift of :func:`build_drift`, turned into
+the complex basis; only its frequency diagonal is written here.
+:func:`transfer_closed_form` holds the cofactor expressions, written
+straight from the parameters, couplings and steady state, so it stays an
+independent oracle for the LU route.  The LU route and the spectrum take
+an array of frequencies, assembled into a stack of 6x6 systems and solved
+in one batched pass with resonance poles coming back as NaN, or one
+frequency, which is the one-element array and raises PoleAtOmega at a
+pole.  :func:`spectrum_sweep` keeps NaN as the mark of a pole, as the
+entanglement sweep does for an unstable point.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entanglement import build_drift
 from .numerics import solve_complex
 from .params import HBAR, K_BOLTZMANN, DerivedCouplings, SystemParams, derive_couplings
 from .steadystate import SteadyState, fixed_point
@@ -55,47 +59,40 @@ def _per_point(omega, values):
     return values[0]
 
 
+# The unitary map from the quadrature basis (x, p, X, Y, U, V) to the
+# complex basis (a, a+, c, c+, x, p), with a = (X + iY)/sqrt(2) and
+# c = (U + iV)/sqrt(2).
+_R = 1.0 / math.sqrt(2.0)
+_B = np.array([
+    [0, 0, _R, 1j * _R, 0, 0],
+    [0, 0, _R, -1j * _R, 0, 0],
+    [0, 0, 0, 0, _R, 1j * _R],
+    [0, 0, 0, 0, _R, -1j * _R],
+    [1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+])
+# Row signs of the system matrix: its position row is sign-flipped, and the
+# cofactor expressions of transfer_closed_form are written for that row.
+_F = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+
+
 def build_matrix(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> np.ndarray:
-    """Assemble the 6x6 fluctuation matrix at angular frequency ``omega``;
-    an array of frequencies gives a stack of shape ``omega.shape + (6, 6)``.
+    """The 6x6 fluctuation matrix F(-i omega - B J B^H) at angular frequency
+    ``omega``; an array of frequencies gives a stack of shape
+    ``omega.shape + (6, 6)``.
 
-    Basis order: intracavity field, its conjugate, collective atomic mode,
-    its conjugate, mirror position, mirror momentum.
+    J is the drift of :func:`build_drift`, B the unitary map to the complex
+    basis (intracavity field, its conjugate, collective atomic mode, its
+    conjugate, mirror position, mirror momentum) and F flips the sign of
+    the position row.  Only the frequency diagonal depends on ``omega``.
     """
-    kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
-    delta_a_prime, wm, gm = couplings.delta_a_prime, params.omega_m, params.gamma_m
-    g1, g2, g3 = complex(couplings.g1), complex(couplings.g2), complex(couplings.g3)
-    g0cs = complex(couplings.g0 * ss.c_s)
     w = np.asarray(omega, dtype=float)
-    mu1 = kappa + 1j * (delta - w)
-    mu2 = kappa - 1j * (delta + w)
-    nu1 = gamma_a + 1j * (delta_a_prime - w)
-    nu2 = gamma_a - 1j * (delta_a_prime + w)
-    a = np.zeros(w.shape + (6, 6), dtype=np.complex128)
-    a[..., 0, 0] = mu1
-    a[..., 0, 2] = 1j * g2
-    a[..., 0, 3] = -1j * g3
-    a[..., 0, 4] = -1j * g0cs
-    a[..., 1, 1] = mu2
-    a[..., 1, 2] = 1j * np.conj(g3)
-    a[..., 1, 3] = -1j * np.conj(g2)
-    a[..., 1, 4] = 1j * np.conj(g0cs)
-    a[..., 2, 0] = 1j * g2
-    a[..., 2, 1] = -1j * g3
-    a[..., 2, 2] = nu1
-    a[..., 2, 3] = -1j * g1
-    a[..., 3, 0] = 1j * np.conj(g3)
-    a[..., 3, 1] = -1j * np.conj(g2)
-    a[..., 3, 2] = 1j * np.conj(g1)
-    a[..., 3, 3] = nu2
-    a[..., 4, 4] = 1j * w
-    a[..., 4, 5] = wm
-    a[..., 5, 0] = -np.conj(g0cs)
-    a[..., 5, 1] = -g0cs
-    a[..., 5, 4] = wm
-    a[..., 5, 5] = gm - 1j * w
+    j = build_drift(params, couplings, ss).j
+    a = np.empty(w.shape + (6, 6), dtype=np.complex128)
+    a[...] = -_F[:, None] * (_B @ j @ _B.conj().T)
+    a.reshape(w.shape + (36,))[..., ::7] -= 1j * w[..., None] * _F
     return a
 
 

@@ -135,6 +135,21 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and "'bogus'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_bad_wavelength_flag_is_config_error(self, capsys, monkeypatch, value):
+        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+        code, out, err = run_cli(capsys, "steady", "--wavelength", value)
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("config error: wavelength")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_bad_wavelength_in_config_file_is_config_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "wl.cfg"
+        cfg.write_text(f"wavelength = {value}\n")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("config error: wavelength")
+
 
 # The SI flags by argparse dest, which is the SystemParams field each sets.
 SI_FLAGS = (

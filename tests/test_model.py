@@ -29,11 +29,13 @@ def test_public_names_resolve_once():
 
 class TestDerivedCouplings:
     def test_zero_excitation_limit(self, default_params):
-        cpl = am.derive_couplings(default_params, _ss(0j, 0j))
+        ss = _ss(0j, 0j)
+        cpl = am.derive_couplings(default_params, ss)
         assert cpl.g1 == 0
         assert cpl.g3 == 0
         assert cpl.g2 == pytest.approx(default_params.coupling_G)
-        assert cpl.g_px == 0 and cpl.g_py == 0
+        j = am.build_drift(default_params, cpl, ss).j
+        assert j[1, 2] == 0 and j[1, 3] == 0  # g_px, g_py
 
     def test_single_photon_coupling_value(self, default_params):
         # frozen from an independent evaluation of
@@ -63,7 +65,8 @@ class TestDerivedCouplings:
 
     def test_quadrature_norm_identity(self, steady_case1):
         p, ss, cpl = steady_case1
-        lhs = cpl.g_px**2 + cpl.g_py**2
+        j = am.build_drift(p, cpl, ss).j
+        lhs = j[1, 2] ** 2 + j[1, 3] ** 2  # g_px^2 + g_py^2
         rhs = 2.0 * cpl.g0**2 * abs(ss.c_s) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
