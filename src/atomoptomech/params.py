@@ -160,11 +160,25 @@ def single_photon_coupling(params: SystemParams) -> float:
 
 
 def backaction_lorentzian(params: SystemParams, weight: str | None = None) -> float:
-    """Cavity-mediated shift G^2 w / (kappa^2 + delta^2) with w = delta or kappa."""
+    """Cavity-mediated shift G^2 w / (kappa^2 + delta^2) with w = delta or kappa.
+
+    G, kappa and delta are taken in units of s, the power of two at or
+    below max(kappa, |delta|), so no square overflows on its own and each
+    operation rounds as it would unscaled.  A shift out of floating-point
+    range raises OverflowError.
+    """
     if weight is None:
         weight = params.backaction_weight
     w = params.delta if weight == "delta" else params.kappa
-    return params.coupling_G**2 * w / (params.kappa**2 + params.delta**2)
+    s = np.ldexp(1.0, np.frexp(np.maximum(params.kappa, np.abs(params.delta)))[1] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = (params.coupling_G / s) ** 2 * w / ((params.kappa / s) ** 2 + (params.delta / s) ** 2)
+    if not np.isfinite(shift).all():
+        raise OverflowError(
+            f"cavity backaction shift G^2 w / (kappa^2 + delta^2) overflows: "
+            f"coupling_G = {params.coupling_G:.6g} rad/s is too large"
+        )
+    return shift if np.ndim(shift) else float(shift)
 
 
 def infer_drive(params: SystemParams, excitation: float) -> tuple[float, float]:

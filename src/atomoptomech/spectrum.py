@@ -15,7 +15,9 @@ independent oracle for the LU route.  The LU route and the spectrum take
 an array of frequencies, assembled into a stack of 6x6 systems and solved
 in one batched pass with resonance poles coming back as NaN, or one
 frequency, which is the one-element array and raises PoleAtOmega at a
-pole.  :func:`spectrum_sweep` keeps NaN as the mark of a pole, as the
+pole.  The spectrum needs the coefficients at -omega too, and reads them
+off the factorization at +omega (:func:`transfer_pair`).
+:func:`spectrum_sweep` keeps NaN as the mark of a pole, as the
 entanglement sweep does for an unstable point.
 """
 
@@ -74,6 +76,9 @@ _B = np.array([
 # Row signs of the system matrix: its position row is sign-flipped, and the
 # cofactor expressions of transfer_closed_form are written for that row.
 _F = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+# The swap a <-> a+, c <-> c+ of the complex basis.  J is real, conj(B) =
+# P B and F commutes with P, so conj(A(-omega)) = P A(omega) P exactly.
+_P = [1, 0, 3, 2, 4, 5]
 
 
 def build_matrix(
@@ -119,10 +124,34 @@ def _output_map(params: SystemParams, m11, m12, m13, m14, m16):
     )
 
 
+def _row_map(params: SystemParams, row):
+    """:func:`_output_map` of a first row of the inverse, (..., 6)."""
+    m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
+    return _output_map(params, m11, m12, m13, m14, m16)
+
+
+def _inverse_rows(
+    params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega, count: int
+):
+    """The first ``count`` rows of the inverse system matrix at ``omega``,
+    row k as ``[..., :, k]`` of an ``omega.shape + (6, count)`` array; a
+    scalar ``omega`` raises PoleAtOmega at a pole.  They come from one
+    pivoted-LU solve of the transposed stack against the first ``count``
+    unit vectors.
+    """
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    e = np.zeros(w.shape + (6, count), dtype=np.complex128)
+    e[..., range(count), range(count)] = 1.0
+    # The stack is handed over unnamed, so once solve_complex has taken its
+    # scratch copy the original is freed: a sweep holds one stack, not two.
+    rows = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e)
+    return _per_point(omega, rows)
+
+
 def transfer_direct(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> TransferCoefficients:
-    """Transfer coefficients by solving the 6x6 system.
+    """Transfer coefficients by solving the 6x6 system at ``omega``.
 
     The first row of the inverse is obtained from one pivoted-LU solve of
     the transposed system against the first unit vector.  The systems of
@@ -130,14 +159,22 @@ def transfer_direct(
     as NaN; a single frequency is a stack of one and raises PoleAtOmega at
     a pole.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    e1 = np.zeros(w.shape + (6,), dtype=np.complex128)
-    e1[..., 0] = 1.0
-    # The stack is handed over unnamed, so once solve_complex has taken its
-    # scratch copy the original is freed: a sweep holds one stack, not two.
-    row = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e1)
-    m11, m12, m13, m14, _, m16 = np.moveaxis(_per_point(omega, row), -1, 0)
-    return _output_map(params, m11, m12, m13, m14, m16)
+    return _row_map(params, _inverse_rows(params, couplings, ss, omega, 1)[..., 0])
+
+
+def transfer_pair(
+    params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
+) -> tuple[TransferCoefficients, TransferCoefficients]:
+    """Transfer coefficients at ``omega`` and at ``-omega`` from the one
+    factorization at ``omega``.
+
+    conj(A(-omega)) = P A(omega) P, with P the swap a <-> a+, c <-> c+, so
+    the first row of A(-omega)^-1 is the conjugate of the second row of
+    A(omega)^-1 with its columns permuted by P.  Both rows come from one
+    solve with two right-hand sides; poles are as in :func:`transfer_direct`.
+    """
+    rows = _inverse_rows(params, couplings, ss, omega, 2)
+    return _row_map(params, rows[..., 0]), _row_map(params, rows[..., _P, 1].conj())
 
 
 def transfer_closed_form(
@@ -274,17 +311,14 @@ def output_spectrum(
     """Normalized intensity noise of the output field at ``omega``.
 
     1 is the shot-noise floor, values below 1 mean squeezing, 0 complete
-    squeezing.  Needs the transfer coefficients at both +omega and -omega.
-    An array of frequencies gives an array of values with NaN at the poles;
-    a single frequency is computed as the one-element array, so it equals
-    its entry of an array call bit for bit, and raises PoleAtOmega at a
-    pole.
+    squeezing.  Needs the transfer coefficients at both +omega and -omega,
+    which :func:`transfer_pair` reads off one factorization.  An array of
+    frequencies gives an array of values with NaN at the poles; a single
+    frequency is computed as the one-element array, so it equals its entry
+    of an array call bit for bit, and raises PoleAtOmega at a pole.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    # The +omega and -omega systems are solved as two stacks, not one stack
-    # of twice the size, which keeps the peak memory of a sweep down.
-    tp = transfer_direct(params, couplings, ss, w)
-    tm = transfer_direct(params, couplings, ss, -w)
+    tp, tm = transfer_pair(params, couplings, ss, w)
     th = thermal_factor(params, w)
     u = tp.a_c + tp.c_c
     v = tm.b_c + tm.d_c

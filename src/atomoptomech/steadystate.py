@@ -163,16 +163,28 @@ def solve_beta(delta_r: float, gamma_r: float):
 def _cavity_state(params: SystemParams, beta: complex, excitation: float):
     """Intracavity amplitude c_s and static mirror displacement x_s that the
     collective amplitude ``beta`` at excitation fraction ``excitation``
-    drives at the detuning ``params.delta`` (arrays when it is an array)."""
-    c_s = (
-        -1j
-        * params.coupling_G
-        * math.sqrt(params.n_atoms)
-        * beta
-        * (1.0 - excitation / 2.0)
-        / (params.kappa + 1j * params.delta)
-    )
-    x_s = single_photon_coupling(params) * abs(c_s) ** 2 / params.omega_m
+    drives at the detuning ``params.delta`` (arrays when it is an array).
+    A photon number |c_s|^2 out of floating-point range raises
+    OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_s = (
+            -1j
+            * params.coupling_G
+            * math.sqrt(params.n_atoms)
+            * beta
+            * (1.0 - excitation / 2.0)
+            / (params.kappa + 1j * params.delta)
+        )
+        try:
+            photons = abs(c_s) ** 2
+        except OverflowError:  # Python floats raise where NumPy gives inf
+            photons = math.inf
+    if not np.isfinite(photons).all():
+        raise OverflowError(
+            f"intracavity photon number |c_s|^2 overflows: "
+            f"coupling_G = {params.coupling_G:.6g} rad/s is too large"
+        )
+    x_s = single_photon_coupling(params) * photons / params.omega_m
     return c_s, x_s
 
 

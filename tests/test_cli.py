@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -393,16 +394,55 @@ class TestEntangleCommand:
     [
         ("spectrum", "--g", "1e300", "--points", "3"),
         ("entangle", "--g", "1e300", "--points", "3"),
-        ("entangle", "--kappa", "1e300", "--points", "3"),
+        ("steady", "--g", "1e300"),
     ],
-    ids=["spectrum-g", "entangle-g", "entangle-kappa"],
+    ids=["spectrum-g", "entangle-g", "steady-g"],
 )
 def test_overflowing_rate_is_a_numeric_failure(capsys, argv):
-    # finite, valid rates whose squares overflow a Python float
-    code, out, err = run_cli(capsys, *argv)
+    # a valid coupling so large that the intracavity photon number
+    # overflows: a failure that names the quantity and the field, with no
+    # NumPy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_NUMERIC
-    assert err.startswith("numeric failure:")
+    assert err.startswith("numeric failure: intracavity photon number |c_s|^2 overflows")
+    assert "coupling_G" in err
     assert "Traceback" not in out + err
+
+
+def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
+    # one atom, so the photon number stays in range and the cavity
+    # backaction shift G^2 w / (kappa^2 + delta^2) is what overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "entangle", "--case", "8", "--n-atoms", "1", "--coupling-g", "1e160",
+            "--points", "3",
+        )
+    assert code == cli.EXIT_NUMERIC
+    assert err.startswith("numeric failure: cavity backaction shift")
+    assert "coupling_G" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entangle", "--omega-m", "1e300", "--points", "3"),
+        ("entangle", "--kappa", "1e300", "--points", "3"),
+    ],
+    ids=["entangle-omega-m", "entangle-kappa"],
+)
+def test_huge_rate_gives_unstable_rows_without_warnings(capsys, argv):
+    # kappa^2 + delta^2 overflows, but the backaction shift does not: it is
+    # taken in units of max(kappa, |delta|), so every row is data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert all(line.split(",")[1:] == ["false", "", ""] for line in lines[1:])
 
 
 class TestCsv:

@@ -91,8 +91,9 @@ class TestSolveComplex:
         assert np.array_equal(anorm, want)
 
     def test_shape_and_finiteness_rejected(self):
-        with pytest.raises(ValueError):
-            am.solve_complex(np.eye(6), np.ones(5))
+        for b in (np.ones(5), np.ones((5, 2)), np.ones((6, 2, 1)), np.ones(())):
+            with pytest.raises(ValueError):
+                am.solve_complex(np.eye(6), b)
         bad = np.eye(6, dtype=complex)
         bad[2, 3] = np.nan
         with pytest.raises(ValueError):
@@ -141,6 +142,50 @@ class TestSolveComplex:
         assert np.array_equal(stack, one)
         empty = am.solve_complex(np.zeros((0, 6, 6), complex), np.zeros((0, 6), complex))
         assert empty.shape == (0, 6)
+
+    @pytest.mark.parametrize("batch", [0, 1, 300])
+    def test_each_right_hand_side_solves_as_it_would_alone(self, batch):
+        # two right-hand sides on one factorization: each column must come
+        # back bit for bit as its own one-column solve, and a system of the
+        # stack as it would alone
+        rng = np.random.default_rng(50 + batch)
+        a = rng.normal(size=(batch, 6, 6)) + 1j * rng.normal(size=(batch, 6, 6))
+        b = rng.normal(size=(batch, 6, 2)) + 1j * rng.normal(size=(batch, 6, 2))
+        x = am.solve_complex(a, b)
+        assert x.shape == (batch, 6, 2)
+        for j in range(2):
+            assert np.array_equal(x[..., j], am.solve_complex(a, b[..., j]))
+            assert np.array_equal(x[..., j], am.solve_complex(a, b[..., j, None])[..., 0])
+        for k in range(min(batch, 5)):
+            assert np.array_equal(x[k], am.solve_complex(a[k], b[k]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_lu_solve_columns_match_the_one_column_layout(self, dtype):
+        # b as (n, r, batch) against the (n, batch) layout of r = 1, which
+        # the Lyapunov solve uses
+        rng = np.random.default_rng(52)
+        a = rng.normal(size=(21, 21, 7)).astype(dtype)
+        b = rng.normal(size=(21, 3, 7)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=a.shape)
+        x, min_pivot, anorm = lu_solve(a.copy(), b.copy())
+        assert x.shape == (21, 3, 7)
+        for j in range(3):
+            xj, pj, nj = lu_solve(a.copy(), b[:, j].copy())
+            assert xj.shape == (21, 7)
+            assert np.array_equal(x[:, j], xj)
+            assert np.array_equal(min_pivot, pj) and np.array_equal(anorm, nj)
+
+    def test_singular_system_is_nan_in_every_column(self):
+        rng = np.random.default_rng(53)
+        a = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
+        b = rng.normal(size=(3, 6, 2)) + 1j * rng.normal(size=(3, 6, 2))
+        a[1, :, 4] = 0.0
+        x = am.solve_complex(a, b)
+        assert np.all(np.isnan(x[1]))
+        assert np.all(np.isfinite(x[[0, 2]]))
+        one = am.solve_complex(a[1], b[1])
+        assert one.shape == (6, 2) and np.all(np.isnan(one))
 
     def test_roundtrip_property(self):
         rng = np.random.default_rng(11)

@@ -6,7 +6,7 @@ import pytest
 import atomoptomech as am
 from atomoptomech.params import DerivedCouplings
 from atomoptomech.selfcheck import random_stable_operating_point
-from atomoptomech.spectrum import thermal_factor
+from atomoptomech.spectrum import thermal_factor, transfer_pair
 from atomoptomech.steadystate import SteadyState
 
 
@@ -25,6 +25,20 @@ def _closed_form_s(p, cpl, ss, w):
         - 2.0 * abs(u * v + tp.f_c * tm.f_c * th)
     )
     return max(0.0, s)
+
+
+# The swap a <-> a+, c <-> c+ of the complex basis.
+SWAP = [1, 0, 3, 2, 4, 5]
+COEFFS = ("a_c", "b_c", "c_c", "d_c", "f_c")
+
+
+def _panel_point(default_params, case, g):
+    """Parameters, steady state and couplings of a fig2 panel's column."""
+    p = default_params.with_case(case, case).replace(
+        coupling_G=g * default_params.kappa, delta=-default_params.omega_m
+    )
+    ss = am.fixed_point(p)
+    return p, ss, am.derive_couplings(p, ss)
 
 
 def _zero_coupling(default_params):
@@ -97,14 +111,16 @@ class TestBuildMatrix:
         assert fm[0, 0] == pytest.approx(p.kappa + 1j * p.delta)
         assert fm[1, 1] == pytest.approx(p.kappa - 1j * p.delta)
 
-    def test_frequency_reflection_symmetry(self, steady_case1):
-        # mu1(omega) equals conj(mu2(-omega)) entry pattern, checked numerically
-        p, ss, cpl = steady_case1
-        for w in np.linspace(-1.5, 1.5, 7) * p.omega_m:
-            fp = am.build_matrix(p, cpl, ss, w)
-            fmm = am.build_matrix(p, cpl, ss, -w)
-            assert fp[0, 0] == pytest.approx(np.conj(fmm[1, 1]))
-            assert fp[2, 2] == pytest.approx(np.conj(fmm[3, 3]))
+    def test_frequency_reflection_symmetry(self, default_params):
+        # conj(A(-w)) = P A(w) P with P the swap a <-> a+, c <-> c+, to the
+        # last bit: the spectrum reads its -w coefficients off this
+        w = np.concatenate((np.linspace(-2.0, 2.0, 41), np.linspace(0.5, 1.5, 200)))
+        for case in (1.0, 2.5, 8.0):
+            for g in (25.0, 100.0):
+                p, ss, cpl = _panel_point(default_params, case, g)
+                plus = am.build_matrix(p, cpl, ss, w * p.omega_m)
+                minus = am.build_matrix(p, cpl, ss, -w * p.omega_m)
+                assert np.array_equal(np.conj(minus), plus[..., SWAP, :][..., :, SWAP])
 
 
 class TestTransferRoutes:
@@ -169,6 +185,39 @@ class TestTransferRoutes:
             warnings.simplefilter("error")
             with pytest.raises(am.PoleAtOmega):
                 am.transfer_closed_form(p, cpl, ss, 0.9 * default_params.omega_m)
+
+
+class TestTransferPair:
+    @pytest.mark.parametrize("case", [1.0, 2.5, 8.0])
+    @pytest.mark.parametrize("g", [25.0, 100.0])
+    def test_both_signs_match_their_own_solves(self, default_params, case, g):
+        # +w is transfer_direct(w) bit for bit; -w, read off the +w
+        # factorization, matches the solve at -w to rounding and the
+        # closed-form route at criterion 2's tolerance
+        p, ss, cpl = _panel_point(default_params, case, g)
+        w = np.linspace(0.5, 1.5, 101) * p.omega_m
+        tp, tm = transfer_pair(p, cpl, ss, w)
+        direct_p = am.transfer_direct(p, cpl, ss, w)
+        direct_m = am.transfer_direct(p, cpl, ss, -w)
+        for name in COEFFS:
+            assert np.array_equal(getattr(tp, name), getattr(direct_p, name))
+            a, b = getattr(tm, name), getattr(direct_m, name)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), np.abs(b)))
+        for k in range(0, len(w), 10):
+            tc = am.transfer_closed_form(p, cpl, ss, -w[k])
+            for name in COEFFS:
+                a, b = getattr(tm, name)[k], getattr(tc, name)
+                assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-12)
+
+    def test_one_frequency_and_its_pole(self, default_params):
+        p, ss, cpl = _panel_point(default_params, 2.5, 50.0)
+        tp, tm = transfer_pair(p, cpl, ss, 0.8 * p.omega_m)
+        assert type(tp.a_c) is np.complex128 and type(tm.f_c) is np.complex128
+        p = default_params.replace(kappa=0.0, coupling_G=0.0, delta=0.9 * default_params.omega_m)
+        ss = am.fixed_point(p)
+        cpl = am.derive_couplings(p, ss)
+        with pytest.raises(am.PoleAtOmega):
+            transfer_pair(p, cpl, ss, 0.9 * default_params.omega_m)
 
 
 class TestOutputSpectrum:
@@ -299,6 +348,30 @@ class TestSpectrumSweep:
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert np.isnan(got).sum() == (1 if pole else 0)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+
+    def test_one_factorization_per_column(self, default_params, monkeypatch):
+        # each coupling's column builds one drift and makes one lu_solve
+        # call, with the +w systems and two right-hand sides (-w is read
+        # off them)
+        from atomoptomech import entanglement, numerics, spectrum
+
+        calls = {"lu_solve": [], "build_drift": []}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name].append(getattr(args[1], "shape", None))
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(numerics, "lu_solve", counting("lu_solve", numerics.lu_solve))
+        for module in (entanglement, spectrum):
+            monkeypatch.setattr(module, "build_drift", counting("build_drift", module.build_drift))
+        p = default_params.with_case(2.5, 2.5)
+        tab = am.spectrum_sweep(p, (25.0, 50.0, 75.0, 100.0), np.linspace(0.5, 1.5, 50) * p.omega_m)
+        assert np.all(np.isfinite(tab.s_out))
+        assert calls["lu_solve"] == [(6, 2, 50)] * 4
+        assert len(calls["build_drift"]) == 4
 
     def test_pole_rows_marked_null_sweep_continues(self, default_params):
         p = default_params.replace(kappa=0.0, delta=0.9 * default_params.omega_m)
