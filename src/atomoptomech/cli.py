@@ -34,7 +34,8 @@ EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 
 # What a command can raise on valid input: no excitation root, a pole at a
-# verify spot check's frequency, or a Python-float power that overflows.
+# verify spot check's frequency, or an overflow: a Python-float power, or a
+# steady-state quantity or coupling that params.check_finite names.
 _NUMERIC_ERRORS = (NoRoot, PoleAtOmega, OverflowError)
 
 CASE_PRESETS = {"1": (1.0, 1.0), "2.5": (2.5, 2.5), "8": (8.0, 8.0)}

@@ -116,11 +116,16 @@ def steady_covariance(ds: DriftSystem) -> np.ndarray:
     return lyapunov_solve(ds.j / scale, ds.d / scale)
 
 
-def _result(delta_over_omega_m: float, nu) -> EntanglementResult:
+def _e_n(nu):
+    """Log-negativity max(0, -ln 2 nu) of the smallest symplectic eigenvalue
+    ``nu``, a scalar or an array; NaN where ``nu`` is."""
+    return np.maximum(0.0, -np.log(2.0 * nu))
+
+
+def _result(delta_over_omega_m: float, nu, e_n) -> EntanglementResult:
     if not math.isfinite(nu):
         return EntanglementResult(delta_over_omega_m, stable=False, e_n=None, nu=None)
-    e_n = max(0.0, -math.log(2.0 * nu))
-    return EntanglementResult(delta_over_omega_m, stable=True, e_n=e_n, nu=nu)
+    return EntanglementResult(delta_over_omega_m, stable=True, e_n=float(e_n), nu=nu)
 
 
 def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> EntanglementResult:
@@ -130,7 +135,8 @@ def log_negativity(v: np.ndarray, delta_over_omega_m: float = math.nan) -> Entan
     acts as the momentum sign flip of the mirror mode, which the symplectic
     eigenvalue formula absorbs as the sign of the cross-block determinant.
     """
-    return _result(delta_over_omega_m, symplectic_nu(np.asarray(v, dtype=float)[:4, :4]))
+    nu = symplectic_nu(np.asarray(v, dtype=float)[:4, :4])
+    return _result(delta_over_omega_m, nu, _e_n(nu))
 
 
 def _nu(params: SystemParams, delta: np.ndarray) -> np.ndarray:
@@ -152,8 +158,10 @@ def _nu(params: SystemParams, delta: np.ndarray) -> np.ndarray:
 
 
 def entanglement_at(params: SystemParams) -> EntanglementResult:
-    """Stability check plus log-negativity at the parameters' detuning."""
-    return _result(params.delta / params.omega_m, _nu(params, np.array([params.delta]))[0])
+    """Stability check plus log-negativity at the parameters' detuning: the
+    one row of its one-point :func:`detuning_sweep`."""
+    t = detuning_sweep(params, [params.delta])
+    return _result(float(t.delta_over_omega_m[0]), t.nu[0], t.e_n[0])
 
 
 def detuning_sweep(params: SystemParams, delta_grid) -> EntanglementTable:
@@ -167,6 +175,6 @@ def detuning_sweep(params: SystemParams, delta_grid) -> EntanglementTable:
     nu = _nu(params, delta_grid)
     return EntanglementTable(
         delta_over_omega_m=delta_grid / params.omega_m,
-        e_n=np.maximum(0.0, -np.log(2.0 * nu)),
+        e_n=_e_n(nu),
         nu=nu,
     )

@@ -173,12 +173,15 @@ def backaction_lorentzian(params: SystemParams, weight: str | None = None) -> fl
     s = np.ldexp(1.0, np.frexp(np.maximum(params.kappa, np.abs(params.delta)))[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         shift = (params.coupling_G / s) ** 2 * w / ((params.kappa / s) ** 2 + (params.delta / s) ** 2)
-    if not np.isfinite(shift).all():
-        raise OverflowError(
-            f"cavity backaction shift G^2 w / (kappa^2 + delta^2) overflows: "
-            f"coupling_G = {params.coupling_G:.6g} rad/s is too large"
-        )
+    check_finite("cavity backaction shift G^2 w / (kappa^2 + delta^2)", shift, params)
     return shift if np.ndim(shift) else float(shift)
+
+
+def check_finite(quantity: str, value, params: SystemParams) -> None:
+    """Raise OverflowError naming ``quantity`` and the coupling it scales
+    with, unless every entry of ``value`` is finite."""
+    if not np.isfinite(value).all():
+        raise OverflowError(f"{quantity} overflows at coupling_G = {params.coupling_G:.6g} rad/s")
 
 
 def infer_drive(params: SystemParams, excitation: float) -> tuple[float, float]:
@@ -215,17 +218,22 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
     sqrt_n = math.sqrt(params.n_atoms)
     g = params.coupling_G
 
-    drive, delta_a = infer_drive(params, excitation)
-    chi = drive * sqrt_n
-
     g0 = single_photon_coupling(params)
-    g1 = (g * ss.c_s + chi) * beta / sqrt_n
     g2 = complex(g * (1.0 - excitation))
     g3 = g * beta * beta / 2.0
-    delta_a_prime = (
-        delta_a
-        - 2.0 * (g / sqrt_n) * (ss.c_s.conjugate() * beta).real
-        - 2.0 * (chi / sqrt_n) * beta.real
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive, delta_a = infer_drive(params, excitation)
+        chi = drive * sqrt_n
+        g1 = (g * ss.c_s + chi) * beta / sqrt_n
+        delta_a_prime = (
+            delta_a
+            - 2.0 * (g / sqrt_n) * (ss.c_s.conjugate() * beta).real
+            - 2.0 * (chi / sqrt_n) * beta.real
+        )
+    # In this order, the first named is where the overflow started.  g2 and
+    # g3 are G times O(1): finite wherever |c_s|^2 is.
+    check_finite("collective drive chi", chi, params)
+    check_finite("atom-cavity coupling g1", g1, params)
+    check_finite("shifted atomic detuning delta_a'", delta_a_prime, params)
 
     return DerivedCouplings(g0=g0, g1=g1, g2=g2, g3=g3, delta_a_prime=delta_a_prime)

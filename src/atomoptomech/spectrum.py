@@ -11,12 +11,14 @@ that writes them, the quadrature drift of :func:`build_drift`, turned into
 the complex basis; only its frequency diagonal is written here.
 :func:`transfer_closed_form` holds the cofactor expressions, written
 straight from the parameters, couplings and steady state, so it stays an
-independent oracle for the LU route.  The LU route and the spectrum take
-an array of frequencies, assembled into a stack of 6x6 systems and solved
-in one batched pass with resonance poles coming back as NaN, or one
+independent oracle for the LU route.  The LU route is one solve,
+:func:`transfer_pair`: the spectrum needs the coefficients at +omega and
+-omega, and both come off the factorization at +omega;
+:func:`transfer_direct` is its +omega half.  The LU route and the spectrum
+take an array of frequencies, assembled into a stack of 6x6 systems and
+solved in one batched pass with resonance poles coming back as NaN, or one
 frequency, which is the one-element array and raises PoleAtOmega at a
-pole.  The spectrum needs the coefficients at -omega too, and reads them
-off the factorization at +omega (:func:`transfer_pair`).
+pole.
 :func:`spectrum_sweep` keeps NaN as the mark of a pole, as the
 entanglement sweep does for an unstable point.
 """
@@ -101,13 +103,16 @@ def build_matrix(
     return a
 
 
-def _output_map(params: SystemParams, m11, m12, m13, m14, m16):
-    """Map the first row of the inverse system matrix to output coefficients.
+def _output_map(params: SystemParams, row):
+    """Map a first row of the inverse system matrix, (..., 6), to output
+    coefficients.
 
     The intracavity coefficients pick up the noise prefactors sqrt(2 kappa)
     / sqrt(2 gamma_a); the input-output relation then subtracts the
-    reflected input from the kappa-channel term.
+    reflected input from the kappa-channel term.  The position entry m15
+    carries no input noise and is not read.
     """
+    m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
     sk = math.sqrt(2.0 * params.kappa)
     sg = math.sqrt(2.0 * params.gamma_a)
     a_p = sk * m11
@@ -124,57 +129,38 @@ def _output_map(params: SystemParams, m11, m12, m13, m14, m16):
     )
 
 
-def _row_map(params: SystemParams, row):
-    """:func:`_output_map` of a first row of the inverse, (..., 6)."""
-    m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
-    return _output_map(params, m11, m12, m13, m14, m16)
-
-
-def _inverse_rows(
-    params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega, count: int
-):
-    """The first ``count`` rows of the inverse system matrix at ``omega``,
-    row k as ``[..., :, k]`` of an ``omega.shape + (6, count)`` array; a
-    scalar ``omega`` raises PoleAtOmega at a pole.  They come from one
-    pivoted-LU solve of the transposed stack against the first ``count``
-    unit vectors.
-    """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    e = np.zeros(w.shape + (6, count), dtype=np.complex128)
-    e[..., range(count), range(count)] = 1.0
-    # The stack is handed over unnamed, so once solve_complex has taken its
-    # scratch copy the original is freed: a sweep holds one stack, not two.
-    rows = solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e)
-    return _per_point(omega, rows)
-
-
-def transfer_direct(
-    params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
-) -> TransferCoefficients:
-    """Transfer coefficients by solving the 6x6 system at ``omega``.
-
-    The first row of the inverse is obtained from one pivoted-LU solve of
-    the transposed system against the first unit vector.  The systems of
-    an array of frequencies are solved as one stack and the poles come back
-    as NaN; a single frequency is a stack of one and raises PoleAtOmega at
-    a pole.
-    """
-    return _row_map(params, _inverse_rows(params, couplings, ss, omega, 1)[..., 0])
-
-
 def transfer_pair(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> tuple[TransferCoefficients, TransferCoefficients]:
     """Transfer coefficients at ``omega`` and at ``-omega`` from the one
     factorization at ``omega``.
 
-    conj(A(-omega)) = P A(omega) P, with P the swap a <-> a+, c <-> c+, so
-    the first row of A(-omega)^-1 is the conjugate of the second row of
-    A(omega)^-1 with its columns permuted by P.  Both rows come from one
-    solve with two right-hand sides; poles are as in :func:`transfer_direct`.
+    Rows 1 and 2 of A(omega)^-1 come from one pivoted-LU solve of the
+    transposed system against the first two unit vectors.  conj(A(-omega))
+    = P A(omega) P, with P the swap a <-> a+, c <-> c+, so the first row of
+    A(-omega)^-1 is the conjugate of the second row of A(omega)^-1 with its
+    columns permuted by P.  The systems of an array of frequencies are
+    solved as one stack and the poles come back as NaN; a single frequency
+    is a stack of one and raises PoleAtOmega at a pole.
     """
-    rows = _inverse_rows(params, couplings, ss, omega, 2)
-    return _row_map(params, rows[..., 0]), _row_map(params, rows[..., _P, 1].conj())
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    e = np.zeros(w.shape + (6, 2), dtype=np.complex128)
+    e[..., [0, 1], [0, 1]] = 1.0
+    # The stack is handed over unnamed, so once solve_complex has taken its
+    # scratch copy the original is freed: a sweep holds one stack, not two.
+    rows = _per_point(
+        omega, solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e)
+    )
+    return _output_map(params, rows[..., 0]), _output_map(params, rows[..., _P, 1].conj())
+
+
+def transfer_direct(
+    params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
+) -> TransferCoefficients:
+    """Transfer coefficients by solving the 6x6 system at ``omega``: the
+    +omega half of :func:`transfer_pair`, with its arrays, NaN poles and
+    PoleAtOmega."""
+    return transfer_pair(params, couplings, ss, omega)[0]
 
 
 def transfer_closed_form(
@@ -281,9 +267,8 @@ def transfer_closed_form(
     scale = max(params.kappa, params.gamma_a, params.omega_m, abs(w), 1.0) ** 6
     if abs(d) < 1e-300 * scale:
         raise PoleAtOmega(f"denominator vanished at omega={w!r}")
-    return _output_map(
-        params, br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 1j * g0 * wm * br_f / d
-    )
+    row = [br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 0.0, 1j * g0 * wm * br_f / d]
+    return _output_map(params, np.array(row))
 
 
 def thermal_factor(params: SystemParams, omega):

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import NoConvergence
-from .params import SystemParams, backaction_lorentzian, single_photon_coupling
+from .params import SystemParams, backaction_lorentzian, check_finite, single_photon_coupling
 
 
 class NoRoot(Exception):
@@ -164,8 +164,8 @@ def _cavity_state(params: SystemParams, beta: complex, excitation: float):
     """Intracavity amplitude c_s and static mirror displacement x_s that the
     collective amplitude ``beta`` at excitation fraction ``excitation``
     drives at the detuning ``params.delta`` (arrays when it is an array).
-    A photon number |c_s|^2 out of floating-point range raises
-    OverflowError."""
+    A photon number |c_s|^2 or a product g0 |c_s|^2 out of floating-point
+    range raises OverflowError."""
     with np.errstate(over="ignore", invalid="ignore"):
         c_s = (
             -1j
@@ -179,12 +179,9 @@ def _cavity_state(params: SystemParams, beta: complex, excitation: float):
             photons = abs(c_s) ** 2
         except OverflowError:  # Python floats raise where NumPy gives inf
             photons = math.inf
-    if not np.isfinite(photons).all():
-        raise OverflowError(
-            f"intracavity photon number |c_s|^2 overflows: "
-            f"coupling_G = {params.coupling_G:.6g} rad/s is too large"
-        )
-    x_s = single_photon_coupling(params) * photons / params.omega_m
+        x_s = single_photon_coupling(params) * photons / params.omega_m
+    check_finite("intracavity photon number |c_s|^2", photons, params)
+    check_finite("static mirror displacement x_s = g0 |c_s|^2 / omega_m", x_s, params)
     return c_s, x_s
 
 

@@ -390,24 +390,29 @@ class TestEntangleCommand:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, quantity",
     [
-        ("spectrum", "--g", "1e300", "--points", "3"),
-        ("entangle", "--g", "1e300", "--points", "3"),
-        ("steady", "--g", "1e300"),
+        (("spectrum", "--g", "1e300", "--points", "3"), "intracavity photon number |c_s|^2"),
+        (("entangle", "--g", "1e300", "--points", "3"), "intracavity photon number |c_s|^2"),
+        (("steady", "--g", "1e300"), "intracavity photon number |c_s|^2"),
+        # |c_s|^2 is in range, but a quantity built from it is not
+        (("spectrum", "--g", "1e150", "--points", "3"), "collective drive chi"),
+        (
+            ("entangle", "--g", "1e150", "--points", "3"),
+            "static mirror displacement x_s = g0 |c_s|^2 / omega_m",
+        ),
     ],
-    ids=["spectrum-g", "entangle-g", "steady-g"],
+    ids=["spectrum-g", "entangle-g", "steady-g", "spectrum-g1e150", "entangle-g1e150"],
 )
-def test_overflowing_rate_is_a_numeric_failure(capsys, argv):
-    # a valid coupling so large that the intracavity photon number
+def test_overflowing_rate_is_a_numeric_failure(capsys, argv, quantity):
+    # a valid coupling so large that a steady-state quantity or a coupling
     # overflows: a failure that names the quantity and the field, with no
     # NumPy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_NUMERIC
-    assert err.startswith("numeric failure: intracavity photon number |c_s|^2 overflows")
-    assert "coupling_G" in err
+    assert err.startswith(f"numeric failure: {quantity} overflows at coupling_G")
     assert "Traceback" not in out + err
 
 
@@ -609,6 +614,23 @@ class TestVerifyCommand:
         monkeypatch.setattr(selfcheck, "excitation_equation", nan_at_case_2p5)
         _, passed, detail = selfcheck.check_root_residuals()
         assert not passed and detail.endswith("nan")
+
+    def test_perturbed_minus_omega_half_fails(self, monkeypatch):
+        # the -w coefficients the spectrum reads off the +w factorization
+        # are checked too, not only the +w half
+        from dataclasses import replace
+
+        from atomoptomech import selfcheck
+
+        pair = selfcheck.transfer_pair
+
+        def perturbed(*args):
+            tp, tm = pair(*args)
+            return tp, replace(tm, b_c=tm.b_c * (1.0 + 1e-6))
+
+        monkeypatch.setattr(selfcheck, "transfer_pair", perturbed)
+        _, passed, detail = selfcheck.check_transfer_equivalence(n_points=10, seed=7)
+        assert not passed, detail
 
     def test_perturbed_closed_form_fails(self):
         # mutation sanity: a deliberately perturbed coefficient must trip

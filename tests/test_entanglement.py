@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import eig_stable, symplectic_spectrum
+from conftest import eig_stable, symplectic_nu_oracle, symplectic_spectrum
 
 import atomoptomech as am
 from atomoptomech.entanglement import is_stable
@@ -301,10 +301,9 @@ class TestDetuningSweep:
         assert list(table.delta_over_omega_m) == [r.delta_over_omega_m for r in rows]
         assert list(table.stable) == [r.stable for r in rows]
         np.testing.assert_array_equal(table.nu, [np.nan if r.nu is None else r.nu for r in rows])
-        # the table takes the logarithm with np.log, a row with math.log:
-        # they may differ in the last bit
-        want_e_n = [np.nan if r.e_n is None else r.e_n for r in rows]
-        np.testing.assert_allclose(table.e_n, want_e_n, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(
+            table.e_n, [np.nan if r.e_n is None else r.e_n for r in rows]
+        )
         assert 0 < sum(table.stable) < len(rows)
 
     def test_matches_scalar_covariance_chain(self, default_params):
@@ -324,3 +323,55 @@ class TestDetuningSweep:
         table = am.detuning_sweep(p, [8.0 * p.omega_m])
         assert table.stable[0]
         assert table.e_n[0] == pytest.approx(0.0, abs=1e-4)
+
+
+class TestOptomechanicalLimit:
+    """With the atoms decoupled (g1 = g2 = g3 = 0, delta_a' = 0) and a real
+    c_s held fixed over the sweep, the model is the driven optomechanical
+    cavity of Vitali et al., PRL 98, 030405 (2007): E_N peaks on the stable
+    side near delta = omega_m, and the peak moves down in delta as the
+    coupling sqrt(2) g0 c_s grows."""
+
+    GRID = np.linspace(0.0, 3.0, 3001)
+
+    @staticmethod
+    def _oracle_nu(p, g_om, delta):
+        """nu from a separately written 4x4 (x, p, X, Y) drift, its Lyapunov
+        equation solved by SciPy; None where the drift is unstable."""
+        linalg = pytest.importorskip("scipy.linalg")
+        wm, k = p.omega_m, p.kappa
+        j = np.array([
+            [0.0, wm, 0.0, 0.0],
+            [-wm, -p.gamma_m, g_om, 0.0],
+            [0.0, 0.0, -k, delta],
+            [g_om, 0.0, -delta, -k],
+        ])
+        if not eig_stable(j):
+            return None
+        d = np.diag([0.0, p.gamma_m * (2 * p.n_thermal + 1), k, k])
+        return symplectic_nu_oracle(linalg.solve_continuous_lyapunov(j, -d))
+
+    @pytest.mark.parametrize(
+        "g_over_omega_m, peak_e_n, peak_delta",
+        [(0.1, 0.0488, 0.941), (0.3, 0.1488, 0.831), (0.45, 0.2307, 0.725)],
+    )
+    def test_matches_four_mode_oracle_and_peaks(
+        self, default_params, g_over_omega_m, peak_e_n, peak_delta
+    ):
+        p = default_params.replace(delta=self.GRID * default_params.omega_m)
+        g_om = g_over_omega_m * p.omega_m
+        # g0 = 1, so c_s alone sets the optomechanical coupling sqrt(2) g0 c_s
+        cpl = DerivedCouplings(g0=1.0, g1=0j, g2=0j, g3=0j, delta_a_prime=0.0)
+        ss = SteadyState(beta=0j, excitation=0.0, c_s=complex(g_om / np.sqrt(2.0)),
+                         x_s=0.0, p_s=0.0, residual=0.0, branch_count=1)
+        nu = am.symplectic_nu(am.steady_covariance(am.build_drift(p, cpl, ss))[:, :4, :4])
+        for i in range(0, len(self.GRID), 150):
+            want = self._oracle_nu(p, g_om, p.delta[i])
+            if want is None:
+                assert np.isnan(nu[i])
+            else:
+                assert nu[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        e_n = np.maximum(0.0, -np.log(2.0 * nu))
+        k = np.nanargmax(e_n)
+        assert e_n[k] == pytest.approx(peak_e_n, abs=1e-4)
+        assert self.GRID[k] == pytest.approx(peak_delta, abs=1e-9)
