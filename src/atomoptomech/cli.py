@@ -12,7 +12,6 @@ environment variable ATOMOPTOMECH_CONFIG supplies a default config path.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,9 +21,12 @@ import numpy as np
 
 from .entanglement import detuning_sweep
 from .params import BACKACTION_WEIGHTS, C_LIGHT, SystemParams, validate
-from .selfcheck import run_verification
 from .spectrum import PoleAtOmega, spectrum_sweep
 from .steadystate import NoRoot, fixed_point
+
+# Imported with the CLI, not on use like selfcheck and json: perfbench's
+# tracer wraps only functions of modules loaded when the CLI module is, and
+# line_plot is part of its output layer.
 from .svg import line_plot
 
 ENV_CONFIG = "ATOMOPTOMECH_CONFIG"
@@ -174,13 +176,18 @@ def _write_text(path: str, text: str):
 
 
 def _csv(header, columns) -> str:
-    """CSV text of equal-length columns, formatted a column at a time:
-    numbers to 12 significant digits, NaN and inf as an empty cell, strings
-    as they are."""
-    cells = [
-        [v if isinstance(v, str) else "%.12g" % v if math.isfinite(v) else "" for v in values]
-        for values in (np.asarray(c).tolist() for c in columns)
-    ]
+    """CSV text of equal-length columns: numbers to 12 significant digits,
+    NaN and inf as an empty cell, strings as they are.  A numeric column is
+    formatted by one ``%`` over all its cells."""
+    cells = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "U":
+            cells.append(column.tolist())
+            continue
+        text = ("%.12g\n" * column.size % tuple(column.tolist())).split("\n")[:-1]
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            text[i] = ""
+        cells.append(text)
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -223,6 +230,8 @@ def cmd_steady(args) -> int:
     warnings = validate(params)
     ss = fixed_point(params)
     if args.json:
+        import json
+
         record = {
             "beta_re": ss.beta.real,
             "beta_im": ss.beta.imag,
@@ -343,12 +352,71 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .selfcheck import run_verification
+
     failures = run_verification(seed=args.seed, n_equivalence=args.points)
     print(f"{failures} failure(s)")
     return min(failures, 125)
 
 
+def _steady_flags(p):
+    _add_param_flags(p)
+    p.add_argument("--json", action="store_true", help="emit a single JSON record")
+
+
+def _grid_flags(p, axis: str, lo: float, hi: float, points: int):
+    """The sweep grid ``--{axis}-min/max`` [omega_m] and ``--points``, and
+    the output paths."""
+    p.add_argument(f"--{axis}-min", type=float, default=lo, help="grid start [omega_m]")
+    p.add_argument(f"--{axis}-max", type=float, default=hi, help="grid end [omega_m]")
+    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--svg", help="SVG output path")
+
+
+def _spectrum_flags(p):
+    _add_param_flags(p, sets=("coupling_G",))
+    p.add_argument("--g", dest="couplings", type=float, action="append",
+                   help="atom-cavity coupling [units of kappa], repeatable; "
+                        "default 25, 50, 75 and 100")
+    _grid_flags(p, "omega", 0.5, 1.5, 2000)
+
+
+def _entangle_flags(p):
+    _add_param_flags(p, sets=("delta",))
+    _grid_flags(p, "delta", 0.0, 3.0, 500)
+
+
+def _reproduce_flags(p):
+    # No abbreviations here: reproduce takes no --delta, and argparse would
+    # read one as --delta-a, the one flag it prefixes.
+    p.allow_abbrev = False
+    _add_param_flags(p, sets=("coupling_G", "delta", "delta_r", "gamma_r"))
+    p.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
+    p.add_argument("--outdir", default=".")
+    p.add_argument("--points", type=int, help="default 2000 for fig2, 500 for fig3 and fig4")
+
+
+def _verify_flags(p):
+    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--points", type=int, default=200,
+                   help="number of random points for the equivalence check")
+
+
+# name -> (help, command, flags).  main creates every subparser, so the
+# top-level help, the usage line and an unknown command's error name all of
+# them, but adds flags only to the one that is invoked.
+COMMANDS = {
+    "steady": ("solve and print the steady state", cmd_steady, _steady_flags),
+    "spectrum": ("output intensity squeezing spectrum sweep", cmd_spectrum, _spectrum_flags),
+    "entangle": ("log-negativity detuning sweep", cmd_entangle, _entangle_flags),
+    "reproduce": ("regenerate the reference figure data sets", cmd_reproduce, _reproduce_flags),
+    "verify": ("run the built-in oracle cross-checks", cmd_verify, _verify_flags),
+}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="atomoptomech",
         description=(
@@ -358,53 +426,17 @@ def main(argv=None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_steady = sub.add_parser("steady", help="solve and print the steady state")
-    _add_param_flags(p_steady)
-    p_steady.add_argument("--json", action="store_true", help="emit a single JSON record")
-    p_steady.set_defaults(func=cmd_steady)
-
-    p_spec = sub.add_parser("spectrum", help="output intensity squeezing spectrum sweep")
-    _add_param_flags(p_spec, sets=("coupling_G",))
-    p_spec.add_argument("--g", dest="couplings", type=float, action="append",
-                        help="atom-cavity coupling [units of kappa], repeatable; "
-                             "default 25, 50, 75 and 100")
-    p_spec.add_argument("--omega-min", type=float, default=0.5, help="grid start [omega_m]")
-    p_spec.add_argument("--omega-max", type=float, default=1.5, help="grid end [omega_m]")
-    p_spec.add_argument("--points", type=int, default=2000)
-    p_spec.add_argument("--out", help="CSV output path")
-    p_spec.add_argument("--svg", help="SVG output path")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_ent = sub.add_parser("entangle", help="log-negativity detuning sweep")
-    _add_param_flags(p_ent, sets=("delta",))
-    p_ent.add_argument("--delta-min", type=float, default=0.0, help="grid start [omega_m]")
-    p_ent.add_argument("--delta-max", type=float, default=3.0, help="grid end [omega_m]")
-    p_ent.add_argument("--points", type=int, default=500)
-    p_ent.add_argument("--out", help="CSV output path")
-    p_ent.add_argument("--svg", help="SVG output path")
-    p_ent.set_defaults(func=cmd_entangle)
-
-    # No abbreviations here: reproduce takes no --delta, and argparse would
-    # read one as --delta-a, the one flag it prefixes.
-    p_rep = sub.add_parser(
-        "reproduce", help="regenerate the reference figure data sets", allow_abbrev=False
-    )
-    _add_param_flags(p_rep, sets=("coupling_G", "delta", "delta_r", "gamma_r"))
-    p_rep.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
-    p_rep.add_argument("--outdir", default=".")
-    p_rep.add_argument("--points", type=int, help="default 2000 for fig2, 500 for fig3 and fig4")
-    p_rep.set_defaults(func=cmd_reproduce)
-
-    p_ver = sub.add_parser("verify", help="run the built-in oracle cross-checks")
-    p_ver.add_argument("--seed", type=int, default=1234)
-    p_ver.add_argument("--points", type=int, default=200,
-                       help="number of random points for the equivalence check")
-    p_ver.set_defaults(func=cmd_verify)
+    # The top-level parser takes no option with a value, so the first
+    # command name in argv is the command.
+    invoked = next((a for a in argv if a in COMMANDS), None)
+    for name, (help_text, _, add_flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == invoked:
+            add_flags(p)
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][1](args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

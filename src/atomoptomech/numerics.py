@@ -302,4 +302,5 @@ def symplectic_nu(v4):
     rad = sigma * sigma - 4.0 * _det4(v4)
     inner = sigma - np.sqrt(np.maximum(rad, 0.0))
     nu = np.sqrt(np.maximum(inner, 0.0) / 2.0)
-    return np.where((rad < -1e-9) | (inner < -1e-12), np.nan, nu)[()]
+    # nu = 0 is no physical state either: it would give E_N = inf.
+    return np.where((rad < -1e-9) | (inner <= 0.0), np.nan, nu)[()]

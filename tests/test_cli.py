@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import atomoptomech as am
 from atomoptomech import cli
+from atomoptomech import svg as svg_module
 from atomoptomech.svg import line_plot
 
 
@@ -274,6 +277,77 @@ def test_benchmark_argv_still_parse(capsys, argv):
     assert len(out.splitlines()) == 4
 
 
+USAGE = "usage: atomoptomech [-h] {steady,spectrum,entangle,reproduce,verify} ..."
+
+# command -> (the fields it sets itself, or None for no parameter flags;
+# its own flags)
+COMMAND_FLAGS = {
+    "steady": ((), ["--json"]),
+    "spectrum": (("coupling_G",),
+                 ["--g", "--omega-min", "--omega-max", "--points", "--out", "--svg"]),
+    "entangle": (("delta",), ["--delta-min", "--delta-max", "--points", "--out", "--svg"]),
+    "reproduce": (("coupling_G", "delta", "delta_r", "gamma_r"), ["--outdir", "--points"]),
+    "verify": (None, ["--seed", "--points"]),
+}
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    # main adds flags only to the invoked command's parser; every command
+    # must still be listed, and each must get all of its flags
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        out = _help(capsys)
+        assert out.startswith(USAGE + "\n")
+        for name, (help_text, _, _) in cli.COMMANDS.items():
+            assert re.search(rf"^    {name} +{re.escape(help_text)}$", out, re.M), name
+        assert list(cli.COMMANDS) == list(COMMAND_FLAGS)
+
+    @pytest.mark.parametrize("argv", [["--nope"], ["steady", "--nope"], ["nope"]])
+    def test_usage_line_names_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[0] == USAGE
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_command_help_names_all_its_flags(self, capsys, command):
+        sets, own = COMMAND_FLAGS[command]
+        want = {"--help", *own}
+        if sets is not None:
+            want |= {"--config"} | {
+                "--" + dest.lower().replace("_", "-")
+                for dest, key, _, _ in cli.PARAM_FLAGS if key not in sets
+            }
+            if "delta_r" not in sets:
+                want.add("--case")
+        out = _help(capsys, command)
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == want
+
+
+def test_import_leaves_the_verify_and_json_modules_unloaded():
+    # selfcheck (verify) and json (steady --json) load on use; svg loads
+    # with the CLI, so a tracer installed after the import can wrap line_plot
+    src = os.path.dirname(os.path.dirname(am.__file__))
+    code = (
+        "import sys, atomoptomech.cli; "
+        "print(sorted(m for m in ('json', 'atomoptomech.selfcheck', 'atomoptomech.svg') "
+        "if m in sys.modules))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "['atomoptomech.svg']"
+
+
 class _Namespace:
     """argparse.Namespace stand-in returning None for unset flags."""
 
@@ -450,6 +524,21 @@ def test_huge_rate_gives_unstable_rows_without_warnings(capsys, argv):
     assert all(line.split(",")[1:] == ["false", "", ""] for line in lines[1:])
 
 
+def _csv_per_cell(header, columns):
+    # the writer as it was, one Python format per cell: the reference the
+    # column-at-a-time writer must equal
+    cells = [
+        [v if isinstance(v, str) else "%.12g" % v if math.isfinite(v) else "" for v in values]
+        for values in (np.asarray(c).tolist() for c in columns)
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _points_per_point(xs, ys):
+    # the plot's point text as it was, one Python format per point
+    return ["%.2f,%.2f" % xy for xy in zip(xs.tolist(), ys.tolist())]
+
+
 class TestCsv:
     def test_inf_and_nan_are_empty_cells(self):
         text = cli._csv(
@@ -463,6 +552,20 @@ class TestCsv:
 
     def test_empty_columns_write_the_header_only(self):
         assert cli._csv(["x", "y"], [np.empty(0), np.empty(0)]) == "x,y\n"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e300, 1 / 3, 2.0]],
+            [np.array([0.0, 1.0, np.nan]), ["true", "false", "true"], [1e-300, -np.inf, 5e300]],
+            [np.empty(0), np.empty(0)],
+            [["a", "b"]],
+        ],
+        ids=["specials", "mixed", "empty", "strings"],
+    )
+    def test_equals_the_per_cell_reference(self, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        assert cli._csv(header, columns) == _csv_per_cell(header, columns)
 
 
 class TestLinePlot:
@@ -499,6 +602,23 @@ class TestLinePlot:
         # the finite range 1..4, padded by 5% on each side
         ticks = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
         assert ticks == ["0.85", "1.68", "2.5", "3.33", "4.15"]
+
+    @pytest.mark.parametrize(
+        "x, series",
+        [
+            ([0, 1, 2, 3, 4, 5], [[1.0, np.nan, np.nan, 2.0, 3.0, np.inf],
+                                  [-np.inf, np.inf, 0.5, 0.7, np.nan, 0.9]]),
+            ([0, 1, 2, 3, 4], [[np.nan, 1.0, np.nan, 2.0, 3.0]]),
+            ([0, 1, 2], [[np.nan] * 3, [0.0, 1.0, 2.0]]),
+            ([0.5], [[2.0]]),
+        ],
+        ids=["nan-and-inf-runs", "lone-point", "all-nan", "single-x"],
+    )
+    def test_equals_the_per_point_reference(self, monkeypatch, x, series):
+        labels = [f"y{k}" for k in range(len(series))]
+        svg = line_plot(x, series, labels, "x", "y")
+        monkeypatch.setattr(svg_module, "_points", _points_per_point)
+        assert svg == line_plot(x, series, labels, "x", "y")
 
 
 class TestReproduceCommand:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ class TestLogNegativity:
         v[0, 2] = v[2, 0] = 5.0
         r = am.log_negativity(v, 1.5)
         assert r == am.EntanglementResult(1.5, stable=False, e_n=None, nu=None)
+
+    def test_zero_determinant_covariance_is_unstable(self):
+        # nu would clamp to 0 and give E_N = -log(0) with a divide warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = am.log_negativity(np.diag([1.0, 0.0, 1.0, 1.0, 0.5, 0.5]))
+        assert r.stable is False and r.e_n is None and r.nu is None
 
     def test_two_mode_squeezed_injection(self):
         r = 0.5

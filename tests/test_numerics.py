@@ -475,6 +475,11 @@ class TestSymplecticNu:
         v[0, 2] = v[2, 0] = 5.0  # wildly unphysical cross correlations
         assert np.isnan(am.symplectic_nu(v))
 
+    def test_zero_determinant_is_nan(self):
+        # the x-variance of the first mode is 0: the clamp on the inner
+        # root must not turn that into nu = 0, which reads as E_N = inf
+        assert np.isnan(am.symplectic_nu(np.diag([1.0, 0.0, 1.0, 1.0])))
+
     def test_one_covariance_gives_a_float64(self):
         # a scalar, not a 0-d array, so it formats like the float it is
         nu = am.symplectic_nu(0.5 * np.eye(4))
@@ -491,3 +496,12 @@ class TestSymplecticNu:
         assert nu.shape == (9,)
         assert np.isnan(nu[4])
         np.testing.assert_array_equal(nu, [am.symplectic_nu(v) for v in vs])
+
+    def test_stack_with_zero_determinant_row(self):
+        rng = np.random.default_rng(41)
+        vs = np.array([random_covariance(rng) for _ in range(5)])
+        want = am.symplectic_nu(vs)
+        vs[2] = np.diag([1.0, 0.0, 1.0, 1.0])
+        nu = am.symplectic_nu(vs)
+        assert np.isnan(nu[2])
+        np.testing.assert_array_equal(np.delete(nu, 2), np.delete(want, 2))
