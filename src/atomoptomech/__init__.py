@@ -17,7 +17,6 @@ from .entanglement import (
     steady_covariance,
 )
 from .numerics import (
-    NoConvergence,
     char_poly,
     lyapunov_solve,
     routh_hurwitz_flags,
@@ -47,7 +46,6 @@ from .steadystate import (
     SteadyState,
     excitation_equation,
     fixed_point,
-    self_consistent_rates,
     solve_beta,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "validate",
     "solve_beta",
     "fixed_point",
-    "self_consistent_rates",
     "excitation_equation",
     "build_matrix",
     "transfer_direct",
@@ -85,7 +82,6 @@ __all__ = [
     "routh_hurwitz_flags",
     "lyapunov_solve",
     "symplectic_nu",
-    "NoConvergence",
     "NoRoot",
     "PoleAtOmega",
 ]

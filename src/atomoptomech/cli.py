@@ -260,11 +260,11 @@ def cmd_steady(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _run_config(args, args.out, args.svg)
-    table = spectrum_sweep(
-        params,
-        tuple(args.couplings or PANEL_COUPLINGS),
-        np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m,
-    )
+    couplings = tuple(args.couplings or PANEL_COUPLINGS)
+    for g in couplings:  # the sweep sets coupling_G per column
+        validate(params.replace(coupling_G=g * params.kappa))
+    grid = np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m
+    table = spectrum_sweep(params, couplings, grid)
     return _emit(args, spectrum_csv(table), lambda: _spectrum_svg(table))
 
 
@@ -359,6 +359,22 @@ def cmd_verify(args) -> int:
     return min(failures, 125)
 
 
+def _checked(kind, ok, need: str):
+    """argparse type: a ``kind`` value for which ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names a malformed value's type by it
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+
+
 def _steady_flags(p):
     _add_param_flags(p)
     p.add_argument("--json", action="store_true", help="emit a single JSON record")
@@ -367,9 +383,9 @@ def _steady_flags(p):
 def _grid_flags(p, axis: str, lo: float, hi: float, points: int):
     """The sweep grid ``--{axis}-min/max`` [omega_m] and ``--points``, and
     the output paths."""
-    p.add_argument(f"--{axis}-min", type=float, default=lo, help="grid start [omega_m]")
-    p.add_argument(f"--{axis}-max", type=float, default=hi, help="grid end [omega_m]")
-    p.add_argument("--points", type=int, default=points)
+    p.add_argument(f"--{axis}-min", type=_finite, default=lo, help="grid start [omega_m]")
+    p.add_argument(f"--{axis}-max", type=_finite, default=hi, help="grid end [omega_m]")
+    p.add_argument("--points", type=_count, default=points)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--svg", help="SVG output path")
 
@@ -394,13 +410,13 @@ def _reproduce_flags(p):
     _add_param_flags(p, sets=("coupling_G", "delta", "delta_r", "gamma_r"))
     p.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
     p.add_argument("--outdir", default=".")
-    p.add_argument("--points", type=int, help="default 2000 for fig2, 500 for fig3 and fig4")
+    p.add_argument("--points", type=_count, help="default 2000 for fig2, 500 for fig3 and fig4")
 
 
 def _verify_flags(p):
     p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--points", type=int, default=200,
-                   help="number of random points for the equivalence check")
+    p.add_argument("--points", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=200, help="number of random points for the equivalence check")
 
 
 # name -> (help, command, flags).  main creates every subparser, so the

@@ -20,10 +20,6 @@ import functools
 import numpy as np
 
 
-class NoConvergence(Exception):
-    """An iteration hit its cap without meeting its tolerance."""
-
-
 PIVOT_TOL = 1e-14
 
 

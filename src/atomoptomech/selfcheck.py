@@ -57,9 +57,9 @@ def check_reference_excitations():
     return "reference excitation fractions", bool(ok), ", ".join(details)
 
 
-def random_stable_operating_point(rng, params=None):
+def random_stable_operating_point(rng):
     """Random parameter set with a stable drift, for equivalence sampling."""
-    base = params or SystemParams()
+    base = SystemParams()
     while True:
         p = base.replace(
             delta_r=rng.uniform(0.8, 8.0),
@@ -149,16 +149,15 @@ ALL_CHECKS = (
 )
 
 
-def run_verification(seed=1234, n_equivalence=200, closed_form=None, out=print):
+def run_verification(seed=1234, n_equivalence=200):
     """Run all checks, print a pass/fail table, return the failure count."""
+    kwargs = {
+        check_root_residuals: {"seed": seed},
+        check_transfer_equivalence: {"n_points": n_equivalence, "seed": seed},
+    }
     failures = 0
     for check in ALL_CHECKS:
-        if check is check_transfer_equivalence:
-            name, passed, detail = check(n_points=n_equivalence, seed=seed, closed_form=closed_form)
-        elif check is check_root_residuals:
-            name, passed, detail = check(seed=seed)
-        else:
-            name, passed, detail = check()
+        name, passed, detail = check(**kwargs.get(check, {}))
         failures += 0 if passed else 1
-        out(f"{'PASS' if passed else 'FAIL'}  {name:38s} {detail}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name:38s} {detail}")
     return failures

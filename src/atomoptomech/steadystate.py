@@ -17,8 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import NoConvergence
-from .params import SystemParams, backaction_lorentzian, check_finite, single_photon_coupling
+from .params import SystemParams, check_finite, single_photon_coupling
 
 
 class NoRoot(Exception):
@@ -160,12 +159,19 @@ def solve_beta(delta_r: float, gamma_r: float):
     return tuple(roots)
 
 
-def _cavity_state(params: SystemParams, beta: complex, excitation: float):
-    """Intracavity amplitude c_s and static mirror displacement x_s that the
-    collective amplitude ``beta`` at excitation fraction ``excitation``
-    drives at the detuning ``params.delta`` (arrays when it is an array).
-    A photon number |c_s|^2 or a product g0 |c_s|^2 out of floating-point
-    range raises OverflowError."""
+def fixed_point(params: SystemParams) -> SteadyState:
+    """Full steady state on the low-excitation branch.
+
+    The root with the smallest excitation is selected: the bosonization is
+    a low-excitation expansion and the reference excitation fractions match
+    this branch.  The root depends only on (delta_r, gamma_r), so an array
+    ``params.delta`` gives arrays ``c_s`` and ``x_s`` over that grid of
+    detunings from one root.  A photon number |c_s|^2 or a product
+    g0 |c_s|^2 out of floating-point range raises OverflowError.
+    """
+    roots = solve_beta(params.delta_r, params.gamma_r)
+    beta = roots[0]
+    excitation = abs(beta) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         c_s = (
             -1j
@@ -182,22 +188,6 @@ def _cavity_state(params: SystemParams, beta: complex, excitation: float):
         x_s = single_photon_coupling(params) * photons / params.omega_m
     check_finite("intracavity photon number |c_s|^2", photons, params)
     check_finite("static mirror displacement x_s = g0 |c_s|^2 / omega_m", x_s, params)
-    return c_s, x_s
-
-
-def fixed_point(params: SystemParams) -> SteadyState:
-    """Full steady state on the low-excitation branch.
-
-    The root with the smallest excitation is selected: the bosonization is
-    a low-excitation expansion and the reference excitation fractions match
-    this branch.  The root depends only on (delta_r, gamma_r), so an array
-    ``params.delta`` gives arrays ``c_s`` and ``x_s`` over that grid of
-    detunings from one root.
-    """
-    roots = solve_beta(params.delta_r, params.gamma_r)
-    beta = roots[0]
-    excitation = abs(beta) ** 2
-    c_s, x_s = _cavity_state(params, beta, excitation)
     res = excitation_equation(beta, params.delta_r, params.gamma_r)
     return SteadyState(
         beta=beta,
@@ -207,56 +197,4 @@ def fixed_point(params: SystemParams) -> SteadyState:
         p_s=0.0,
         residual=max(abs(res.real), abs(res.imag)),
         branch_count=len(roots),
-    )
-
-
-def self_consistent_rates(
-    params: SystemParams,
-    initial_beta: complex = 0.0 + 0.0j,
-    update_delta: bool = False,
-    relaxation: float = 0.0,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-):
-    """Self-consistent (delta_r, gamma_r, beta) from microscopic inputs.
-
-    Experimental mode: requires ``params.delta_a`` and ``params.chi`` to be
-    set.  Alternates evaluating the effective-rate definitions (as written,
-    including the detuning-weighted decay term) at the current excitation
-    with re-solving the excitation equation, until successive excitation
-    fractions differ by less than ``tol``.
-
-    ``update_delta=True`` additionally re-derives the effective cavity
-    detuning from the radiation-pressure displacement each pass, treating
-    ``params.delta`` as the bare drive detuning.  ``relaxation`` in [0, 1)
-    mixes the old excitation into the update.
-    """
-    if params.delta_a is None or params.chi is None:
-        raise ValueError("self-consistent mode requires delta_a and chi to be set")
-    drive = params.chi / math.sqrt(params.n_atoms)
-    if drive == 0:
-        raise ValueError("self-consistent mode requires a nonzero drive amplitude chi")
-    g0 = single_photon_coupling(params)
-
-    beta = complex(initial_beta)
-    excitation = abs(beta) ** 2
-    delta_eff = params.delta
-    delta_r = gamma_r = None
-    for _ in range(max_iter):
-        if update_delta:
-            _, x_s = _cavity_state(params.replace(delta=delta_eff), beta, excitation)
-            delta_eff = params.delta - g0 * x_s
-        lor = backaction_lorentzian(params.replace(delta=delta_eff), "delta")
-        delta_r = (params.delta_a - lor * (1.0 - 2.0 * excitation)) / drive
-        gamma_r = (params.gamma_a + lor * (1.0 - excitation)) / drive
-        beta_new = solve_beta(delta_r, gamma_r)[0]
-        exc_new = abs(beta_new) ** 2
-        exc_mixed = (1.0 - relaxation) * exc_new + relaxation * excitation
-        if abs(exc_new - excitation) < tol:
-            return delta_r, gamma_r, beta_new
-        beta = beta_new
-        excitation = exc_mixed
-    raise NoConvergence(
-        f"self-consistent iteration did not settle in {max_iter} passes; "
-        f"last excitation {excitation:.6g}"
     )

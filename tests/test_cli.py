@@ -490,6 +490,55 @@ def test_overflowing_rate_is_a_numeric_failure(capsys, argv, quantity):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("g", ["-5", "nan", "inf"])
+def test_bad_spectrum_coupling_is_config_error(capsys, g):
+    # each --g sets coupling_G for its own column, so each is validated
+    # like the default one, before any column is written
+    code, out, err = run_cli(capsys, "spectrum", "--g", "25", "--g", g, "--points", "2")
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith("config error: coupling_G must be finite and non-negative")
+
+
+BAD_GRID_FLAGS = [
+    (("entangle", "--points", "2", "--delta-max", "inf"), "--delta-max"),
+    (("entangle", "--delta-min", "nan"), "--delta-min"),
+    (("spectrum", "--omega-min", "inf"), "--omega-min"),
+    (("reproduce", "all", "--points", "-1"), "--points"),
+    (("spectrum", "--points", "-1"), "--points"),
+    (("verify", "--points", "0"), "--points"),
+    (("verify", "--points", "-1"), "--points"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", BAD_GRID_FLAGS, ids=[f"{a[0]}{f}={a[a.index(f) + 1]}" for a, f in BAD_GRID_FLAGS]
+)
+def test_bad_grid_flag_is_rejected_when_parsed(capsys, tmp_path, argv, flag):
+    # a non-finite grid bound or a negative point count (none for verify)
+    # is argparse's error, naming the flag, before any NumPy work
+    if argv[0] == "reproduce":
+        argv += ("--outdir", str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: argument {flag}: must be " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [("spectrum", "omega_over_omega_m,s_out_g25,s_out_g50,s_out_g75,s_out_g100"),
+     ("entangle", "delta_over_omega_m,stable,e_n,nu")],
+)
+def test_zero_points_writes_the_header_only(capsys, command, header):
+    code, out, err = run_cli(capsys, command, "--points", "0")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == header + "\n"
+
+
 def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
     # one atom, so the photon number stays in range and the cavity
     # backaction shift G^2 w / (kappa^2 + delta^2) is what overflows

@@ -134,60 +134,19 @@ class TestFixedPoint:
         assert ss.c_s == pytest.approx(want, rel=1e-12)
 
 
-class TestSelfConsistentRates:
-    def test_zero_coupling_rates(self, default_params):
-        # with no atom-cavity coupling the rates are bare ratios
-        p = default_params.replace(coupling_G=0.0, chi=2e9, delta_a=3e8)
-        drive = 2e9 / np.sqrt(p.n_atoms)
-        dr, gr, beta = am.self_consistent_rates(p)
-        assert dr == pytest.approx(3e8 / drive, rel=1e-12)
-        assert gr == pytest.approx(p.gamma_a / drive, rel=1e-12)
-        assert beta == am.solve_beta(dr, gr)[0]
-
-    def test_roundtrip_to_unit_rates(self, default_params):
-        # choose (delta_a, chi) so the definitions reproduce delta_r = gamma_r = 1
-        p0 = default_params
-        beta = am.solve_beta(1.0, 1.0)[0]
-        exc = abs(beta) ** 2
-        lor = p0.coupling_G**2 * p0.delta / (p0.kappa**2 + p0.delta**2)
-        drive = p0.gamma_a + lor * (1 - exc)  # gamma_r = 1
-        delta_a = drive + lor * (1 - 2 * exc)  # delta_r = 1
-        p = p0.replace(chi=drive * np.sqrt(p0.n_atoms), delta_a=delta_a)
-        dr, gr, b = am.self_consistent_rates(p, initial_beta=beta)
-        assert dr == pytest.approx(1.0, rel=1e-6)
-        assert gr == pytest.approx(1.0, rel=1e-6)
-        assert abs(b - beta) < 1e-6
-
-    def test_relaxation_same_fixed_point(self, default_params):
-        # positive detuning keeps the alternating iteration contractive
-        p0 = default_params.replace(delta=1.22 * default_params.omega_m)
-        beta = am.solve_beta(1.0, 1.0)[0]
-        exc = abs(beta) ** 2
-        lor = p0.coupling_G**2 * p0.delta / (p0.kappa**2 + p0.delta**2)
-        drive = p0.gamma_a + lor * (1 - exc)
-        delta_a = drive + lor * (1 - 2 * exc)
-        p = p0.replace(chi=drive * np.sqrt(p0.n_atoms), delta_a=delta_a)
-        undamped = am.self_consistent_rates(p, initial_beta=0.8 * beta)
-        damped = am.self_consistent_rates(p, initial_beta=0.8 * beta, relaxation=0.5)
-        assert undamped[0] == pytest.approx(damped[0], rel=1e-6)
-        assert undamped[1] == pytest.approx(damped[1], rel=1e-6)
-        assert abs(undamped[2] - damped[2]) < 1e-6
-        assert undamped[0] == pytest.approx(1.0, rel=1e-6)
-        assert undamped[1] == pytest.approx(1.0, rel=1e-6)
-
-    def test_requires_microscopic_inputs(self, default_params):
-        with pytest.raises(ValueError):
-            am.self_consistent_rates(default_params)
-
-    def test_delta_update_mode_runs(self, default_params):
-        p0 = default_params.replace(delta=1.22 * default_params.omega_m)
-        beta = am.solve_beta(1.0, 1.0)[0]
-        exc = abs(beta) ** 2
-        lor = p0.coupling_G**2 * p0.delta / (p0.kappa**2 + p0.delta**2)
-        drive = p0.gamma_a + lor * (1 - exc)
-        delta_a = drive + lor * (1 - 2 * exc)
-        p = p0.replace(chi=drive * np.sqrt(p0.n_atoms), delta_a=delta_a)
-        dr, gr, b = am.self_consistent_rates(p, initial_beta=beta, update_delta=True)
-        # the static displacement shift is tiny here, so the rates barely move
-        assert dr == pytest.approx(1.0, rel=1e-3)
-        assert gr == pytest.approx(1.0, rel=1e-3)
+    def test_bare_detuning_is_an_explicit_map(self):
+        # At fixed (delta_r, gamma_r) a point's bare drive detuning is
+        # delta + g0 x_s: one array call over criterion 5's grid gives it,
+        # with no iteration.  At N = 1e7 the map folds back (a bare
+        # detuning has three effective ones), at N = 1e6 it is monotone.
+        p = am.SystemParams(n_thermal=0.0).with_case(1.0, 1.0)
+        p = p.replace(coupling_G=25.0 * p.kappa)
+        grid = np.linspace(0.0, 3.0, 3001) * p.omega_m
+        for n_atoms, folds in ((1e7, True), (1e6, False)):
+            q = p.replace(n_atoms=n_atoms, delta=grid)
+            shift = am.single_photon_coupling(q) * am.fixed_point(q).x_s / q.omega_m
+            if n_atoms == 1e7:
+                assert shift[0] == pytest.approx(0.2522, rel=1e-3)
+                assert shift[1220] < 1e-3  # at 1.22 omega_m
+            bare = grid / q.omega_m + shift
+            assert bool(np.any(np.diff(bare) < 0)) == folds, n_atoms
