@@ -414,7 +414,7 @@ def _reproduce_flags(p):
 
 
 def _verify_flags(p):
-    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument("--seed", type=_count, default=1234)
     p.add_argument("--points", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
                    default=200, help="number of random points for the equivalence check")
 

@@ -4,15 +4,20 @@ A batched pivoted LU, :func:`lu_solve`, solves a stack of systems held
 batch-last, each against one or more right-hand sides, so each of its
 pivot steps is a few NumPy operations over contiguous rows of the batch,
 taken a row slab at a time so that no temporary is as large as the stack.
-It serves the complex 6x6 spectrum solves (two right-hand sides: the
-first two rows of the inverse) and the Lyapunov solve, which runs Routh-Hurwitz stability on
-Faddeev-LeVerrier characteristic polynomials and then solves the 21x21
-half-vectorized systems of the symmetric covariance's independent entries,
-all stable systems of a stack in one call.  The smallest symplectic
-eigenvalue is closed-form.  The solves and the eigenvalue take one system
-or a stack; one system is a stack of one, and a failed system, alone or in
-a stack, comes back as NaN.  No general-purpose linear algebra backend is
-used at runtime.
+It serves :func:`solve_complex` and the Lyapunov solve, which runs
+Routh-Hurwitz stability on Faddeev-LeVerrier characteristic polynomials
+and then solves the 21x21 half-vectorized systems of the symmetric
+covariance's independent entries, all stable systems of a stack in one
+call.  The spectrum solves one fixed matrix at many frequency shifts: a
+reduction to Hessenberg form, :func:`hessenberg`, is made once, by
+pivoted Gauss similarity transforms rather than Householder reflections
+so that a rate far larger than the others does not cost the small
+entries their accuracy, and :func:`hessenberg_solve` solves the shifted
+systems in O(n^2) each (A. J. Laub, IEEE Trans. Autom. Control 26, 407
+(1981)).  The smallest symplectic eigenvalue is closed-form.  The solves
+and the eigenvalue take one system or a stack; one system is a stack of
+one, and a failed system, alone or in a stack, comes back as NaN.  No
+general-purpose linear algebra backend is used at runtime.
 """
 
 import functools
@@ -104,9 +109,9 @@ def solve_complex(a, b):
     ``a`` is n x n, or a stack (..., n, n) solved in one batched pass.
     ``b`` is (..., n), one right-hand side per system, or (..., n, r), r of
     them, all solved on the one factorization of their system.  A system
-    is singular when a pivot falls below ``1e-14 * ||a||_inf``, which in
-    the spectrum code signals hitting a resonance pole; a singular system
-    comes back as NaN in every column, alone or as its row of a stack.
+    is singular when a pivot falls below ``1e-14 * ||a||_inf``; a singular
+    system comes back as NaN in every column, alone or as its row of a
+    stack.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -129,6 +134,136 @@ def solve_complex(a, b):
     x, min_pivot, anorm = lu_solve(a, b)
     x[..., min_pivot <= PIVOT_TOL * anorm] = np.nan
     return x.transpose(2, 0, 1).reshape(shape)
+
+
+def hessenberg(a):
+    """Reduction ``a = g h g^-1`` of one n x n matrix, real or complex, to
+    upper Hessenberg form by pivoted Gauss similarity transforms.
+
+    Returns ``(h, g, g_inv)`` in the dtype of ``a`` (at least float): h has
+    exact zeros below its first subdiagonal.  Step k swaps the row and
+    column with the largest |a_ik| below the diagonal into place k + 1,
+    subtracts multiples (at most 1 in size) of that row from the rows below
+    it and adds the same multiples of their columns to column k + 1.  A row
+    only ever takes a multiple of the pivot row, as in an LU, so a rate far
+    larger than the others does not spread its rounding over every entry
+    as an orthogonal reduction does.  A column already zero below the
+    subdiagonal takes no step, so a Hessenberg ``a`` comes back as it is,
+    with g = g_inv = I.
+    """
+    a = np.asarray(a)
+    dtype = np.result_type(a, float)
+    n = len(a)
+    # One small matrix: Python numbers cost less here than NumPy calls.
+    h = a.astype(dtype).tolist()
+    g, g_inv = np.eye(n).tolist(), np.eye(n).tolist()
+    for k in range(n - 2):
+        if not any(r[k] for r in h[k + 2 :]):
+            continue
+        col = [abs(r[k]) for r in h[k + 1 :]]
+        p = k + 1 + col.index(max(col))
+        h[k + 1], h[p] = h[p], h[k + 1]
+        g_inv[k + 1], g_inv[p] = g_inv[p], g_inv[k + 1]
+        for r in h + g:
+            r[k + 1], r[p] = r[p], r[k + 1]
+        piv, piv_inv = h[k + 1], g_inv[k + 1]
+        for i in range(k + 2, n):
+            fi = h[i][k] / piv[k]
+            if not fi:
+                continue
+            # h's rows below k + 1 are zero left of column k; the zeros of
+            # g and g_inv are skipped
+            hi, gi = h[i], g_inv[i]
+            hi[k] = 0.0
+            for j in range(k + 1, n):
+                hi[j] -= fi * piv[j]
+            for j in range(n):
+                if piv_inv[j]:
+                    gi[j] -= fi * piv_inv[j]
+            for r in h + g:
+                if r[i]:
+                    r[k + 1] += fi * r[i]
+    h, g, g_inv = np.array([h, g, g_inv], dtype=dtype)
+    return h, g, g_inv
+
+
+def hessenberg_solve(h, b, shifts):
+    """Solve ``(h - s I) y = b`` for every shift s of a 1-D array, with h
+    upper Hessenberg: O(n^2) work per shift.
+
+    ``b`` is (n,) or (n, r), shared by every shift, and y comes back
+    batch-last, (n, batch) or (n, r, batch).  Elimination step k pivots
+    between the only two rows with an entry in column k: the row carried
+    from the step before and row k + 1 of h - s I.  A row is a list of its
+    entries from column k on, then its right-hand sides as one (r, 1) or
+    (r, batch) block.  An entry of h, and a zero block of b, is one number;
+    only the diagonal and the fill-in are arrays over the shifts, and a
+    term whose number is 0 is skipped.  A shift at which a pivot is at most
+    ``PIVOT_TOL * ||h - s I||_inf`` is a pole, NaN in every column.  Every
+    operation has an array operand and is elementwise over the shifts, so
+    a shift's y does not depend on the others, in the last bit too (NumPy's
+    scalar arithmetic rounds complex products and quotients unlike its
+    array loops).
+    """
+    h = np.asarray(h)
+    s = np.asarray(shifts, dtype=np.complex128)
+    rhs = np.asarray(b, dtype=np.complex128)
+    n, batch = len(h), len(s)
+    cols = rhs.reshape(n, -1)
+    # NumPy scalars: a Python float or complex would go through a slower
+    # casting loop against the arrays.  Every zero is the one object below.
+    zero = np.complex128(0.0)
+    hs = [[x if x else zero for x in r] for r in h.astype(np.complex128)]
+    bs = [r if nz else zero for r, nz in zip(cols[:, :, None], cols.any(axis=1).tolist())]
+    diag = h.diagonal()[:, None] - s
+    size = np.abs(h)
+    off = size.sum(axis=1) - size.diagonal()
+    anorm = (off[:, None] + np.abs(diag)).max(axis=0)
+
+    def row(i):
+        # row i of h - s I from column i - 1 on, right-hand sides at its end
+        start = max(i - 1, 0)
+        e = hs[i][start:] + [bs[i]]
+        e[i - start] = diag[i]
+        return e
+
+    u, cur, pivots = [], row(0), []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            fresh = row(k + 1)
+            mag, sub = np.abs(cur[0]), abs(fresh[0])
+            swap = sub > mag
+            swaps = np.count_nonzero(swap)
+            # A selection that is the same for every shift takes the rows
+            # as they are; the entries are the same either way.
+            if not swaps:
+                piv, other = cur, fresh
+                pivots.append(mag)
+            elif swaps == batch:
+                piv, other = fresh, cur
+                pivots.append(sub)
+            else:
+                piv = [np.where(swap, f, c) for f, c in zip(fresh, cur)]
+                other = [np.where(swap, c, f) for f, c in zip(fresh, cur)]
+                pivots.append(np.maximum(mag, sub))
+            f = other[0] / piv[0]
+            cur = [o if p is zero else o - f * p for o, p in zip(other[1:], piv[1:])]
+            u.append(piv)
+        pivots.append(np.abs(cur[0]))
+        u.append(cur)
+        y = np.empty((n, cols.shape[1], batch), dtype=np.complex128)
+        for i in range(n - 1, -1, -1):
+            acc = u[i][-1]
+            for j in range(i + 1, n):
+                if u[i][j - i] is not zero:
+                    acc = acc - u[i][j - i] * y[j]
+            y[i] = acc / u[i][0]
+    # fmin skips NaN, so a zero pivot stays recorded when the elimination
+    # after it turns that shift into NaN.
+    poles = functools.reduce(np.fmin, pivots) <= PIVOT_TOL * anorm
+    if poles.any():
+        y[..., poles] = np.nan
+    return y.reshape(rhs.shape + s.shape)
 
 
 def char_poly(j):

@@ -74,17 +74,17 @@ def random_stable_operating_point(rng):
 
 
 def check_transfer_equivalence(n_points=200, seed=1234, closed_form=None):
-    """LU route vs closed-form route on random stable points and frequencies
-    w: both halves of :func:`transfer_pair`, the coefficients at w and those
-    at -w that the spectrum reads off the same factorization."""
+    """Hessenberg route vs closed-form route on random stable points and
+    frequencies w: both halves of :func:`transfer_pair`, the coefficients
+    at w and those at -w that the spectrum reads off the same solve."""
     closed = closed_form or spec_mod.transfer_closed_form
     rng = np.random.default_rng(seed)
     errors = [0.0]
     for _ in range(n_points):
         p, ss, cpl = random_stable_operating_point(rng)
         w = rng.uniform(-2.0, 2.0) * p.omega_m
-        for lu, wk in zip(transfer_pair(p, cpl, ss, w), (w, -w)):
-            errors += map(_rel_err, astuple(lu), astuple(closed(p, cpl, ss, wk)))
+        for solved, wk in zip(transfer_pair(p, cpl, ss, w), (w, -w)):
+            errors += map(_rel_err, astuple(solved), astuple(closed(p, cpl, ss, wk)))
     worst = np.max(errors)  # keeps NaN, unlike the builtin max
     return "transfer-route equivalence", worst <= 1e-8, f"worst relative {worst:.2e}"
 

@@ -2,36 +2,40 @@
 system.
 
 Two independent evaluation routes are provided for the transfer
-coefficients from the input noises to the output field: an LU solve of the
-6x6 system, and the expanded cofactor (closed-form) expressions.  Their
-agreement is the central correctness check of the package.
+coefficients from the input noises to the output field: a solve of the
+6x6 system through one Hessenberg reduction per operating point, and the
+expanded cofactor (closed-form) expressions.  Their agreement is the
+central correctness check of the package.
 
 :func:`build_matrix` takes the linearized dynamics from the one place
 that writes them, the quadrature drift of :func:`build_drift`, turned into
 the complex basis; only its frequency diagonal is written here.
 :func:`transfer_closed_form` holds the cofactor expressions, written
 straight from the parameters, couplings and steady state, so it stays an
-independent oracle for the LU route.  The LU route is one solve,
-:func:`transfer_pair`: the spectrum needs the coefficients at +omega and
--omega, and both come off the factorization at +omega;
-:func:`transfer_direct` is its +omega half.  The LU route and the spectrum
-take an array of frequencies, assembled into a stack of 6x6 systems and
-solved in one batched pass with resonance poles coming back as NaN, or one
-frequency, which is the one-element array and raises PoleAtOmega at a
-pole.
+independent oracle for the Hessenberg route.  The Hessenberg route is
+:func:`transfer_pair`: only the frequency diagonal of the system changes
+over a column, so the system at omega = 0 is reduced to Hessenberg form
+once and each frequency is a shifted solve in O(n^2); the spectrum needs the
+coefficients at +omega and -omega, and both come off the solve at +omega.
+:func:`transfer_direct` is its +omega half.  The route and the spectrum
+take an array of frequencies, solved in one batched pass with resonance
+poles coming back as NaN, or one frequency, which is the one-element
+array and raises PoleAtOmega at a pole.
 :func:`spectrum_sweep` keeps NaN as the mark of a pole, as the
 entanglement sweep does for an unstable point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import build_drift
-from .numerics import solve_complex
+from .numerics import hessenberg, hessenberg_solve
 from .params import HBAR, K_BOLTZMANN, DerivedCouplings, SystemParams, derive_couplings
 from .steadystate import SteadyState, fixed_point
 
@@ -53,14 +57,14 @@ class TransferCoefficients:
 
 
 def _per_point(omega, values):
-    """``values`` computed on ``np.atleast_1d(omega)``, leading axes first,
+    """``values`` computed on ``np.atleast_1d(omega)``, frequency axis last,
     as the caller of a frequency ``omega`` gets them: unchanged for an
     array, the one entry for a scalar, where a NaN marks a pole."""
     if np.ndim(omega):
         return values
     if np.isnan(values).any():
         raise PoleAtOmega(f"system matrix singular at omega={float(omega)!r}")
-    return values[0]
+    return values[..., 0][()]
 
 
 # The unitary map from the quadrature basis (x, p, X, Y, U, V) to the
@@ -104,7 +108,7 @@ def build_matrix(
 
 
 def _output_map(params: SystemParams, row):
-    """Map a first row of the inverse system matrix, (..., 6), to output
+    """Map a first row of the inverse system matrix, (6, ...), to output
     coefficients.
 
     The intracavity coefficients pick up the noise prefactors sqrt(2 kappa)
@@ -112,7 +116,7 @@ def _output_map(params: SystemParams, row):
     reflected input from the kappa-channel term.  The position entry m15
     carries no input noise and is not read.
     """
-    m11, m12, m13, m14, _, m16 = np.moveaxis(row, -1, 0)
+    m11, m12, m13, m14, _, m16 = row
     sk = math.sqrt(2.0 * params.kappa)
     sg = math.sqrt(2.0 * params.gamma_a)
     a_p = sk * m11
@@ -129,29 +133,43 @@ def _output_map(params: SystemParams, row):
     )
 
 
+def _inverse_rows(params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega):
+    """Rows 1 and 2 of A(omega)^-1 as the columns of a (6, 2) array, with
+    the frequency axis last for an array of frequencies.
+
+    A(omega) = A0 - i omega F, so A(omega)^T = (N - i omega I) F with
+    N = A0^T F, and the rows are F (N - i omega I)^-1 [e1 e2].  N is reduced
+    once, N = G H G^-1 with A0 from :func:`build_matrix`, and each frequency
+    is a shifted Hessenberg solve: F G (H - i omega I)^-1 G^-1 [e1 e2].  The
+    frequencies of an array are solved in one pass and the poles come back
+    as NaN; a single frequency is the one-element array and raises
+    PoleAtOmega at a pole.
+    """
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    h, g, g_inv = hessenberg(build_matrix(params, couplings, ss, 0.0).T * _F)
+    y = hessenberg_solve(h, g_inv[:, :2], 1j * w)
+    # x = F G y, each row summed over its nonzero terms in order,
+    # elementwise per frequency; G is mostly ones and zeros.
+    x = np.empty_like(y)
+    for xi, r in zip(x, _F[:, None] * g):
+        terms = [y[k] if c == 1 else c * y[k] for k, c in enumerate(r) if c]
+        xi[...] = functools.reduce(operator.add, terms)
+    return _per_point(omega, x)
+
+
 def transfer_pair(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> tuple[TransferCoefficients, TransferCoefficients]:
     """Transfer coefficients at ``omega`` and at ``-omega`` from the one
-    factorization at ``omega``.
+    Hessenberg reduction of the column and one shifted solve at ``omega``.
 
-    Rows 1 and 2 of A(omega)^-1 come from one pivoted-LU solve of the
-    transposed system against the first two unit vectors.  conj(A(-omega))
-    = P A(omega) P, with P the swap a <-> a+, c <-> c+, so the first row of
-    A(-omega)^-1 is the conjugate of the second row of A(omega)^-1 with its
-    columns permuted by P.  The systems of an array of frequencies are
-    solved as one stack and the poles come back as NaN; a single frequency
-    is a stack of one and raises PoleAtOmega at a pole.
+    conj(A(-omega)) = P A(omega) P, with P the swap a <-> a+, c <-> c+, so
+    the first row of A(-omega)^-1 is the conjugate of the second row of
+    A(omega)^-1 with its columns permuted by P.  Arrays, NaN poles and
+    PoleAtOmega are those of :func:`_inverse_rows`.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float))
-    e = np.zeros(w.shape + (6, 2), dtype=np.complex128)
-    e[..., [0, 1], [0, 1]] = 1.0
-    # The stack is handed over unnamed, so once solve_complex has taken its
-    # scratch copy the original is freed: a sweep holds one stack, not two.
-    rows = _per_point(
-        omega, solve_complex(np.swapaxes(build_matrix(params, couplings, ss, w), -1, -2), e)
-    )
-    return _output_map(params, rows[..., 0]), _output_map(params, rows[..., _P, 1].conj())
+    rows = _inverse_rows(params, couplings, ss, omega)
+    return _output_map(params, rows[:, 0]), _output_map(params, rows[_P, 1].conj())
 
 
 def transfer_direct(
@@ -160,7 +178,7 @@ def transfer_direct(
     """Transfer coefficients by solving the 6x6 system at ``omega``: the
     +omega half of :func:`transfer_pair`, with its arrays, NaN poles and
     PoleAtOmega."""
-    return transfer_pair(params, couplings, ss, omega)[0]
+    return _output_map(params, _inverse_rows(params, couplings, ss, omega)[:, 0])
 
 
 def transfer_closed_form(
@@ -170,7 +188,7 @@ def transfer_closed_form(
 
     These are the cofactor expressions of the first row of the inverse 6x6
     system written out, over the determinant d as common denominator; they
-    are checked against the LU route by the verification suite.
+    are checked against the Hessenberg route by the verification suite.
     """
     w = float(omega)
     kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
@@ -297,7 +315,7 @@ def output_spectrum(
 
     1 is the shot-noise floor, values below 1 mean squeezing, 0 complete
     squeezing.  Needs the transfer coefficients at both +omega and -omega,
-    which :func:`transfer_pair` reads off one factorization.  An array of
+    which :func:`transfer_pair` reads off one shifted solve.  An array of
     frequencies gives an array of values with NaN at the poles; a single
     frequency is computed as the one-element array, so it equals its entry
     of an array call bit for bit, and raises PoleAtOmega at a pole.

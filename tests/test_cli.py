@@ -507,6 +507,7 @@ BAD_GRID_FLAGS = [
     (("spectrum", "--points", "-1"), "--points"),
     (("verify", "--points", "0"), "--points"),
     (("verify", "--points", "-1"), "--points"),
+    (("verify", "--seed", "-1"), "--seed"),
 ]
 
 
@@ -514,8 +515,9 @@ BAD_GRID_FLAGS = [
     "argv, flag", BAD_GRID_FLAGS, ids=[f"{a[0]}{f}={a[a.index(f) + 1]}" for a, f in BAD_GRID_FLAGS]
 )
 def test_bad_grid_flag_is_rejected_when_parsed(capsys, tmp_path, argv, flag):
-    # a non-finite grid bound or a negative point count (none for verify)
-    # is argparse's error, naming the flag, before any NumPy work
+    # a non-finite grid bound, a negative point count (none for verify) or
+    # a negative seed is argparse's error, naming the flag, before any
+    # NumPy work
     if argv[0] == "reproduce":
         argv += ("--outdir", str(tmp_path / "out"))
     with warnings.catch_warnings():

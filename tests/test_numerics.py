@@ -196,6 +196,92 @@ class TestSolveComplex:
             np.testing.assert_allclose(x, x_true, rtol=1e-9)
 
 
+def _random_hessenberg(rng, n=6):
+    return np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), -1)
+
+
+class TestHessenberg:
+    KINDS = ["complex", "real", "hessenberg"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reduction(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for _ in range(20):
+            a = rng.normal(size=(6, 6))
+            if kind != "real":
+                a = a + 1j * rng.normal(size=(6, 6))
+            if kind != "hessenberg":
+                # a zero on the subdiagonal, with entries below it: the
+                # step must swap a pivot in
+                a[[1, 3], [0, 2]] = 0.0
+            else:
+                a = np.triu(a, -1)
+                a[3, 2] = 0.0
+            h, g, g_inv = numerics.hessenberg(a)
+            assert h.dtype == g.dtype == g_inv.dtype == a.dtype
+            assert np.all(np.tril(h, -2) == 0)
+            # g is a permuted unit lower triangle of multipliers at most 1
+            assert np.max(np.abs(g)) == 1.0
+            assert np.max(np.abs(g @ g_inv - np.eye(6))) <= 1e-14
+            assert np.max(np.abs(g @ h @ g_inv - a)) <= 1e-14 * np.max(np.abs(a))
+            if kind == "hessenberg":
+                # a column already zero below its subdiagonal takes no step
+                assert np.array_equal(h, a)
+                assert np.array_equal(g, np.eye(6)) and np.array_equal(g_inv, np.eye(6))
+
+    @pytest.mark.parametrize("rhs", [(6,), (6, 2)], ids=["one", "two"])
+    def test_shifted_solve_matches_solve_complex(self, rhs):
+        rng = np.random.default_rng(63 + len(rhs))
+        for _ in range(10):
+            h = _random_hessenberg(rng)
+            b = rng.normal(size=rhs) + 1j * rng.normal(size=rhs)
+            s = 3.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+            y = numerics.hessenberg_solve(h, b, s)
+            assert y.shape == rhs + (200,)
+            stack = h - s[:, None, None] * np.eye(6)
+            want = am.solve_complex(stack, np.broadcast_to(b, (200,) + rhs))
+            want = np.moveaxis(want, 0, -1)
+            err = np.max(np.abs(y - want), axis=tuple(range(len(rhs))))
+            assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=tuple(range(len(rhs)))))
+
+    def test_eigenvalue_shift_is_nan(self):
+        # the shifts at the diagonal of a triangular h are its eigenvalues,
+        # at every elimination step and at the last pivot alike
+        rng = np.random.default_rng(65)
+        h = np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        s = np.concatenate((np.diagonal(h), [0.5j, 10.0]))
+        y = numerics.hessenberg_solve(h, np.ones((6, 2)), s)
+        assert np.all(np.isnan(y[..., :6]))
+        assert np.all(np.isfinite(y[..., 6:]))
+
+    @pytest.mark.parametrize("k", [-900, 900])
+    def test_scale_far_from_one(self, k):
+        # a matrix and its shifts scaled by 2^k come back scaled by the
+        # same exact power of two, with nothing overflowing or underflowing
+        rng = np.random.default_rng(67)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h, g, g_inv = numerics.hessenberg(a)
+        hk, gk, g_invk = numerics.hessenberg(a * 2.0**k)
+        assert np.array_equal(hk, h * 2.0**k)
+        assert np.array_equal(gk, g) and np.array_equal(g_invk, g_inv)
+        b = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        s = rng.normal(size=50) + 1j * rng.normal(size=50)
+        y = numerics.hessenberg_solve(h, b, s)
+        assert np.array_equal(numerics.hessenberg_solve(hk, b, s * 2.0**k), y / 2.0**k)
+
+    def test_batches_of_zero_and_one(self):
+        rng = np.random.default_rng(66)
+        h = _random_hessenberg(rng)
+        b = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        s = rng.normal(size=300) + 1j * rng.normal(size=300)
+        assert numerics.hessenberg_solve(h, b, s[:0]).shape == (6, 2, 0)
+        stack = numerics.hessenberg_solve(h, b, s)
+        for k in range(0, 300, 7):
+            one = numerics.hessenberg_solve(h, b, s[k : k + 1])
+            assert one.shape == (6, 2, 1)
+            assert np.array_equal(one[..., 0], stack[..., k])
+
+
 class TestQuarticRoots:
     def test_matches_companion_oracle(self):
         # the Aberth iteration against NumPy's companion-matrix roots, over

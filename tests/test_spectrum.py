@@ -6,7 +6,7 @@ import pytest
 import atomoptomech as am
 from atomoptomech.params import DerivedCouplings
 from atomoptomech.selfcheck import random_stable_operating_point
-from atomoptomech.spectrum import thermal_factor, transfer_pair
+from atomoptomech.spectrum import _output_map, thermal_factor, transfer_pair
 from atomoptomech.steadystate import SteadyState
 
 
@@ -32,10 +32,11 @@ SWAP = [1, 0, 3, 2, 4, 5]
 COEFFS = ("a_c", "b_c", "c_c", "d_c", "f_c")
 
 
-def _panel_point(default_params, case, g):
-    """Parameters, steady state and couplings of a fig2 panel's column."""
+def _panel_point(default_params, case, g, delta=-1.0):
+    """Parameters, steady state and couplings of a fig2 panel's column, or
+    of the same point at another detuning ``delta`` in units of omega_m."""
     p = default_params.with_case(case, case).replace(
-        coupling_G=g * default_params.kappa, delta=-default_params.omega_m
+        coupling_G=g * default_params.kappa, delta=delta * default_params.omega_m
     )
     ss = am.fixed_point(p)
     return p, ss, am.derive_couplings(p, ss)
@@ -209,6 +210,36 @@ class TestTransferPair:
                 a, b = getattr(tm, name)[k], getattr(tc, name)
                 assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-12)
 
+    @pytest.mark.parametrize(
+        "case, delta, g", [(2.5, -1.0, 25.0), (2.5, -1.0, 100.0), (8.0, 1.0, 100.0)]
+    )
+    def test_against_a_40_digit_solve(self, default_params, case, delta, g):
+        # rows 1 and 2 of A(w)^-1 from mpmath's LU at 40 digits, at the
+        # spectrum-panel point and at the point where the atomic detuning
+        # most outweighs the other rates: the coefficients at +-w to 1e-12
+        # relative, and S to 1e-12 of |u|^2 + |v|^2
+        mpmath = pytest.importorskip("mpmath")
+        p, ss, cpl = _panel_point(default_params, case, g, delta)
+        w = np.linspace(0.5, 1.5, 20) * p.omega_m
+        tp, tm = transfer_pair(p, cpl, ss, w)
+        s = am.output_spectrum(p, cpl, ss, w)
+        a = am.build_matrix(p, cpl, ss, w)
+        for k in range(len(w)):
+            with mpmath.workdps(40):
+                at = mpmath.matrix(a[k].T.tolist())
+                units = [mpmath.matrix([float(i == j) for i in range(6)]) for j in (0, 1)]
+                rows = [mpmath.lu_solve(at, e) for e in units]
+                rows = np.array([[complex(x) for x in row] for row in rows])
+            want_p, want_m = _output_map(p, rows[0]), _output_map(p, rows[1, SWAP].conj())
+            for got, want in ((tp, want_p), (tm, want_m)):
+                for name in COEFFS:
+                    g_k, w_k = getattr(got, name)[k], getattr(want, name)
+                    assert abs(g_k - w_k) <= 1e-12 * abs(w_k)
+            u, v = want_p.a_c + want_p.c_c, want_m.b_c + want_m.d_c
+            scale = abs(u) ** 2 + abs(v) ** 2
+            assert thermal_factor(p, w[k]) == 0.0
+            assert abs(s[k] - max(0.0, scale - 2.0 * abs(u * v))) <= 1e-12 * max(1.0, scale)
+
     def test_one_frequency_and_its_pole(self, default_params):
         p, ss, cpl = _panel_point(default_params, 2.5, 50.0)
         tp, tm = transfer_pair(p, cpl, ss, 0.8 * p.omega_m)
@@ -328,7 +359,7 @@ class TestSpectrumSweep:
 
     @pytest.mark.parametrize("pole", [False, True], ids=["smooth", "pole-row"])
     def test_matches_closed_form_route(self, default_params, pole):
-        # the batched LU sweep against S assembled point by point from the
+        # the batched sweep against S assembled point by point from the
         # closed-form route at +-omega; a lossless cavity driven on its
         # detuning puts a pole row on the grid
         if pole:
@@ -350,27 +381,32 @@ class TestSpectrumSweep:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
 
     def test_one_factorization_per_column(self, default_params, monkeypatch):
-        # each coupling's column builds one drift and makes one lu_solve
-        # call, with the +w systems and two right-hand sides (-w is read
-        # off them)
+        # each coupling's column builds one drift, reduces the system at
+        # w = 0 to Hessenberg form once and makes one shifted solve over
+        # the whole grid, with two right-hand sides (-w is read off them);
+        # no LU runs
         from atomoptomech import entanglement, numerics, spectrum
 
-        calls = {"lu_solve": [], "build_drift": []}
+        calls = {"hessenberg": [], "hessenberg_solve": [], "lu_solve": [], "build_drift": []}
 
         def counting(name, fn):
             def wrapper(*args):
-                calls[name].append(getattr(args[1], "shape", None))
+                calls[name].append(tuple(np.shape(a) for a in args[:3] if hasattr(a, "shape")))
                 return fn(*args)
 
             return wrapper
 
         monkeypatch.setattr(numerics, "lu_solve", counting("lu_solve", numerics.lu_solve))
+        for name in ("hessenberg", "hessenberg_solve"):
+            monkeypatch.setattr(spectrum, name, counting(name, getattr(spectrum, name)))
         for module in (entanglement, spectrum):
             monkeypatch.setattr(module, "build_drift", counting("build_drift", module.build_drift))
         p = default_params.with_case(2.5, 2.5)
         tab = am.spectrum_sweep(p, (25.0, 50.0, 75.0, 100.0), np.linspace(0.5, 1.5, 50) * p.omega_m)
         assert np.all(np.isfinite(tab.s_out))
-        assert calls["lu_solve"] == [(6, 2, 50)] * 4
+        assert calls["hessenberg"] == [((6, 6),)] * 4
+        assert calls["hessenberg_solve"] == [((6, 6), (6, 2), (50,))] * 4
+        assert calls["lu_solve"] == []
         assert len(calls["build_drift"]) == 4
 
     def test_pole_rows_marked_null_sweep_continues(self, default_params):
