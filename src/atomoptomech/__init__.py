@@ -21,7 +21,6 @@ from .numerics import (
     lyapunov_solve,
     routh_hurwitz_flags,
     routh_hurwitz_stable,
-    solve_complex,
     symplectic_nu,
 )
 from .params import (
@@ -76,7 +75,6 @@ __all__ = [
     "log_negativity",
     "entanglement_at",
     "detuning_sweep",
-    "solve_complex",
     "char_poly",
     "routh_hurwitz_stable",
     "routh_hurwitz_flags",

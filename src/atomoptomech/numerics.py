@@ -1,19 +1,19 @@
 """Small dense numerical routines sized for this problem.
 
 A batched pivoted LU, :func:`lu_solve`, solves a stack of systems held
-batch-last, each against one or more right-hand sides, so each of its
-pivot steps is a few NumPy operations over contiguous rows of the batch,
-taken a row slab at a time so that no temporary is as large as the stack.
-It serves :func:`solve_complex` and the Lyapunov solve, which runs
-Routh-Hurwitz stability on Faddeev-LeVerrier characteristic polynomials
-and then solves the 21x21 half-vectorized systems of the symmetric
-covariance's independent entries, all stable systems of a stack in one
-call.  The spectrum solves one fixed matrix at many frequency shifts: a
-reduction to Hessenberg form, :func:`hessenberg`, is made once, by
-pivoted Gauss similarity transforms rather than Householder reflections
-so that a rate far larger than the others does not cost the small
-entries their accuracy, and :func:`hessenberg_solve` solves the shifted
-systems in O(n^2) each (A. J. Laub, IEEE Trans. Autom. Control 26, 407
+batch-last, each against one right-hand side, so each of its pivot steps
+is a few NumPy operations over contiguous rows of the batch, taken a row
+slab at a time so that no temporary is as large as the stack.  It serves
+the Lyapunov solve, which runs Routh-Hurwitz stability on
+Faddeev-LeVerrier characteristic polynomials and then solves the 21x21
+half-vectorized systems of the symmetric covariance's independent
+entries, all stable systems of a stack in one call.  The spectrum
+solves one fixed matrix at many frequency shifts: a reduction to
+Hessenberg form, :func:`hessenberg`, is made once, by pivoted Gauss
+similarity transforms rather than Householder reflections so that a rate
+far larger than the others does not cost the small entries their
+accuracy, and :func:`hessenberg_solve` solves the shifted systems in
+O(n^2) each (A. J. Laub, IEEE Trans. Autom. Control 26, 407
 (1981)).  The smallest symplectic eigenvalue is closed-form.  The solves
 and the eigenvalue take one system or a stack; one system is a stack of
 one, and a failed system, alone or in a stack, comes back as NaN.  No
@@ -41,14 +41,12 @@ def lu_solve(a, b):
     a stack by LU with partial pivoting, in place.
 
     The batch is the last axis: ``a`` is (n, n, batch) and ``b`` is
-    (n, r, batch), r right-hand sides per system, or (n, batch) for r = 1;
-    both are C-contiguous scratch copies owned by the caller, so each pivot
-    step runs over contiguous rows of the batch.  Every right-hand side
-    goes through the same operations, so a column of a wider ``b`` comes
-    back as it would alone.  Returns ``(x, min_pivot, max_norm)``: x is
-    ``b`` itself, and the other two are per system; the caller decides what
-    pivot magnitude counts as singular.  A system whose pivot is exactly
-    zero gets min_pivot = 0 and a garbage x.
+    (n, batch), both C-contiguous scratch copies owned by the caller, so
+    each pivot step runs over contiguous rows of the batch.  Returns
+    ``(x, min_pivot, max_norm)``: x is ``b`` itself, and the other two are
+    per system; the caller decides what pivot magnitude counts as
+    singular.  A system whose pivot is exactly zero gets min_pivot = 0 and
+    a garbage x.
 
     The norm and the rank-one updates run over row slabs (see ``_slab``),
     so no temporary is as large as ``a``: the peak memory of a call is the
@@ -56,13 +54,10 @@ def lu_solve(a, b):
     """
     if not (a.flags.c_contiguous and b.flags.c_contiguous):
         raise ValueError("lu_solve works in place on C-contiguous arrays")
-    x, b = b, b[:, None] if b.ndim == 2 else b
-    n, r, batch = b.shape
+    n, batch = b.shape
     systems = np.arange(batch)
-    # Flat index of entry (0, j, s) of a for the columns j of each step,
-    # and of entry (0, j, s) of b for its right-hand sides j.
+    # Flat index of entry (0, j, s) of a for the columns j of each step.
     cols = np.arange(n)[:, None] * batch + systems
-    rhs = np.arange(r)[:, None] * batch + systems
     flat_a, flat_b = a.reshape(-1), b.reshape(-1)
     step = _slab(n, batch)
     anorm = np.zeros(batch)
@@ -82,7 +77,7 @@ def lu_solve(a, b):
             # (the columns before it are no longer read), by flat index.
             rows = piv * (n * batch) + cols[k:]
             a[k, k:], flat_a[rows] = flat_a[rows], a[k, k:].copy()
-            rows = piv * (r * batch) + rhs
+            rows = piv * batch + systems
             b[k], flat_b[rows] = flat_b[rows], b[k].copy()
             # Operands of one number of axes: a one-element complex product
             # broadcast over a prepended axis skips NumPy's FMA loop, so a
@@ -91,49 +86,16 @@ def lu_solve(a, b):
             below = a[k + 1 :]
             for i in range(0, n - k - 1, step):
                 below[i : i + step, k + 1 :] -= f[i : i + step, None] * a[k, None, k + 1 :]
-            b[k + 1 :] -= f[:, None] * b[k, None]
+            b[k + 1 :] -= f * b[k, None]
         min_pivot = np.fmin(min_pivot, np.abs(a[-1, -1]))
         # Back substitution subtracts each row's terms one after another in
         # column order (subtract.reduce over the leading axis is a left
         # fold), so a system rounds the same whatever its size or batch.
         for i in range(n - 1, -1, -1):
-            terms = a[i, i + 1 :, None] * b[i + 1 :]
+            terms = a[i, i + 1 :] * b[i + 1 :]
             s = np.subtract.reduce(np.concatenate((b[i, None], terms)), axis=0)
             b[i] = s / a[i, i]
-    return x, min_pivot, anorm
-
-
-def solve_complex(a, b):
-    """Solve the square complex system ``a x = b`` by pivoted LU.
-
-    ``a`` is n x n, or a stack (..., n, n) solved in one batched pass.
-    ``b`` is (..., n), one right-hand side per system, or (..., n, r), r of
-    them, all solved on the one factorization of their system.  A system
-    is singular when a pivot falls below ``1e-14 * ||a||_inf``; a singular
-    system comes back as NaN in every column, alone or as its row of a
-    stack.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if (
-        a.ndim < 2
-        or a.shape[-1] != a.shape[-2]
-        or b.shape[: a.ndim - 1] != a.shape[:-1]
-        or b.ndim not in (a.ndim - 1, a.ndim)
-    ):
-        raise ValueError("solve_complex expects n x n matrices and right-hand sides (..., n[, r])")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("non-finite matrix entries")
-    n, shape = a.shape[-1], b.shape
-    r = shape[-1] if b.ndim == a.ndim else 1
-    # The batch-last scratch copies; rebinding ``a`` drops this frame's
-    # hold on the caller's stack.  copy() is explicit because a batch of
-    # one is already contiguous in the new layout.
-    a = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
-    b = b.reshape(a.shape[-1], n, r).transpose(1, 2, 0).copy()
-    x, min_pivot, anorm = lu_solve(a, b)
-    x[..., min_pivot <= PIVOT_TOL * anorm] = np.nan
-    return x.transpose(2, 0, 1).reshape(shape)
+    return b, min_pivot, anorm
 
 
 def hessenberg(a):

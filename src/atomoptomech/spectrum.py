@@ -294,18 +294,24 @@ def thermal_factor(params: SystemParams, omega):
 
     Zero for positive frequencies at T = 0; the negative-frequency branch
     tends to -2 gamma_m w / omega_m.  At T > 0 and w = 0 it takes its finite
-    limit 2 gamma_m k_B T / (hbar omega_m).
+    limit 2 gamma_m k_B T / (hbar omega_m).  A temperature at which the
+    weight overflows at a finite frequency raises OverflowError.
     """
     omega = np.asarray(omega, dtype=float)
     if params.temperature <= 0.0:
         th = np.where(omega > 0.0, 0.0, -2.0 * params.gamma_m * omega / params.omega_m)
         return th[()]
     kt = K_BOLTZMANN * params.temperature
-    x = HBAR * omega / (2.0 * kt)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = HBAR * omega / (2.0 * kt)
         th = params.gamma_m / params.omega_m * omega * (-1.0 + 1.0 / np.tanh(x))
     limit = 2.0 * params.gamma_m * kt / (HBAR * params.omega_m)
-    return np.where(omega == 0.0, limit, th)[()]
+    th = np.where(omega == 0.0, limit, th)
+    if not np.isfinite(th[np.isfinite(omega)]).all():
+        raise OverflowError(
+            f"thermal noise weight overflows at temperature = {params.temperature:.6g} K"
+        )
+    return th[()]
 
 
 def output_spectrum(

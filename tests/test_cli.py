@@ -426,6 +426,40 @@ class TestSpectrumCommand:
         assert float(first[0]) == 0.0
         assert math.isfinite(float(first[1]))
 
+    @pytest.mark.parametrize("temperature", ["5e299", "1e-320"])
+    def test_extreme_finite_temperature_gives_finite_cells(self, capsys, temperature):
+        # the thermal weight stays finite up to about 7e299 K, and a k_B T
+        # that underflows to 0 is the T = 0 weight, with no NumPy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "spectrum", "--temperature", temperature, "--omega-min", "-1",
+                "--points", "5", "--g", "25",
+            )
+        assert code == 0 and err == ""
+        assert all(math.isfinite(float(line.split(",")[1])) for line in out.splitlines()[1:])
+
+    def test_overflowing_thermal_weight_is_a_numeric_failure(self, capsys, tmp_path):
+        # a temperature at which the thermal weight, about
+        # (gamma_m / omega_m) 2 k_B T / hbar, overflows: a failure that
+        # names the temperature, with no NumPy warning and no file written
+        message = "thermal noise weight overflows at temperature = 1e+300 K"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "spectrum", "--temperature", "1e300", "--points", "5",
+                "--out", str(tmp_path / "s.csv"),
+            )
+            assert code == cli.EXIT_NUMERIC and out == ""
+            assert err == f"numeric failure: {message}\n"
+            code, out, err = run_cli(
+                capsys, "reproduce", "fig2", "--temperature", "1e300", "--points", "5",
+                "--outdir", str(tmp_path),
+            )
+        assert code == cli.EXIT_NUMERIC and out == ""
+        assert err == f"error: fig2 failed: OverflowError: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "plot.svg"
         code, _, _ = run_cli(

@@ -9,52 +9,62 @@ from atomoptomech.numerics import PIVOT_TOL, lu_solve
 from atomoptomech.steadystate import _quartic_roots
 
 
+def _batch_last(a, b):
+    """Scratch copies of a (batch, n, n) stack and its (batch, n) right-hand
+    sides in the layout lu_solve solves in place: (n, n, batch), (n, batch)."""
+    return a.transpose(1, 2, 0).copy(), b.T.copy()
+
+
 class TestSolveComplex:
+    """Complex and real systems solved by the batched LU, :func:`lu_solve`,
+    in its one layout: a (n, n, batch) and b (n, batch).  Two tests go
+    through its one caller, the Lyapunov solve, which passes real stacks."""
+
     def test_identity(self):
-        e3 = np.zeros(6, dtype=complex)
+        e3 = np.zeros((6, 1), dtype=complex)
         e3[2] = 1.0
-        x = am.solve_complex(np.eye(6, dtype=complex), e3)
-        np.testing.assert_allclose(x, e3, atol=1e-15)
+        x, min_pivot, anorm = lu_solve(np.eye(6, dtype=complex)[..., None].copy(), e3.copy())
+        assert np.array_equal(x, e3)
+        assert min_pivot.tolist() == [1.0] and anorm.tolist() == [1.0]
 
     def test_diagonal(self):
-        a = np.diag([2j] * 6)
-        x = am.solve_complex(a, np.ones(6, dtype=complex))
-        np.testing.assert_allclose(x, np.ones(6) / 2j, rtol=1e-14)
+        a = np.diag([2j] * 6)[..., None].copy()
+        x, _, _ = lu_solve(a, np.ones((6, 1), dtype=complex))
+        np.testing.assert_allclose(x[:, 0], np.ones(6) / 2j, rtol=1e-14)
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            b = rng.normal(size=6) + 1j * rng.normal(size=6)
-            x = am.solve_complex(a, b)
-            anorm = np.max(np.abs(a).sum(axis=1))
-            xnorm = np.max(np.abs(x))
-            bnorm = np.max(np.abs(b))
-            res = np.max(np.abs(a @ x - b))
+        a = rng.normal(size=(50, 6, 6)) + 1j * rng.normal(size=(50, 6, 6))
+        b = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
+        x, _, _ = lu_solve(*_batch_last(a, b))
+        for k in range(50):
+            anorm = np.max(np.abs(a[k]).sum(axis=1))
+            xnorm = np.max(np.abs(x[:, k]))
+            bnorm = np.max(np.abs(b[k]))
+            res = np.max(np.abs(a[k] @ x[:, k] - b[k]))
             assert res <= 1e-10 * (anorm * xnorm + bnorm)
 
     def test_singular_is_nan(self):
-        a = np.zeros((6, 6), dtype=complex)
+        # a pivot that is exactly zero is reported as zero, whatever the
+        # elimination after it leaves in x
+        a = np.zeros((6, 6, 1), dtype=complex)
         a[0, 0] = 1.0
-        x = am.solve_complex(a, np.ones(6, dtype=complex))
-        assert x.shape == (6,)
-        assert np.all(np.isnan(x))
+        x, min_pivot, anorm = lu_solve(a, np.ones((6, 1), dtype=complex))
+        assert x.shape == (6, 1)
+        assert min_pivot.tolist() == [0.0] and anorm.tolist() == [1.0]
 
     @pytest.mark.parametrize("eps", [5e-15, 2e-14])
     def test_pivot_threshold_each_side(self, eps):
         # diag(1, eps) has row-sum norm 1, so its last pivot eps lies on
-        # either side of PIVOT_TOL * ||a||_inf = 1e-14
-        a = np.diag([1.0, eps]).astype(complex)
-        b = np.ones(2, dtype=complex)
-        stack = am.solve_complex(np.stack([np.eye(2), a]), np.stack([b, b]))
-        np.testing.assert_array_equal(stack[0], b)
-        if eps <= PIVOT_TOL:
-            assert np.all(np.isnan(am.solve_complex(a, b)))
-            assert np.all(np.isnan(stack[1]))
-        else:
-            x = am.solve_complex(a, b)
-            np.testing.assert_allclose(x, [1.0, 1.0 / eps], rtol=1e-15)
-            np.testing.assert_array_equal(stack[1], x)
+        # either side of PIVOT_TOL * ||a||_inf = 1e-14; the identity next to
+        # it in the stack is untouched
+        a = np.stack([np.eye(2), np.diag([1.0, eps])]).astype(complex)
+        b = np.ones((2, 2), dtype=complex)
+        x, min_pivot, anorm = lu_solve(*_batch_last(a, b))
+        assert min_pivot.tolist() == [1.0, eps] and anorm.tolist() == [1.0, 1.0]
+        assert (min_pivot <= PIVOT_TOL * anorm).tolist() == [False, eps <= PIVOT_TOL]
+        np.testing.assert_array_equal(x[:, 0], [1.0, 1.0])
+        np.testing.assert_allclose(x[:, 1], [1.0, 1.0 / eps], rtol=1e-15)
 
     def test_stack_matches_oracle_and_flags_singular(self):
         # one batched pass over a stack against a per-system oracle; the
@@ -64,15 +74,14 @@ class TestSolveComplex:
         a = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
         b = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
         a[4, :, 2] = 0.0
-        _, min_pivot, anorm = lu_solve(a.transpose(1, 2, 0).copy(), b.T.copy())
+        x, min_pivot, anorm = lu_solve(*_batch_last(a, b))
+        assert x.shape == (6, 9)
         flagged = min_pivot <= PIVOT_TOL * anorm
         assert flagged.tolist() == [False] * 4 + [True] + [False] * 4
-        x = am.solve_complex(a, b)
-        assert x.shape == (9, 6)
-        assert np.all(np.isnan(x[4]))
+        assert min_pivot[4] == 0.0
         for k in (0, 1, 2, 3, 5, 6, 7, 8):
             want = np.linalg.solve(a[k], b[k])
-            assert np.max(np.abs(x[k] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(x[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("batch", [0, 1, 7, 300])
@@ -90,34 +99,24 @@ class TestSolveComplex:
         assert anorm.shape == (batch,)
         assert np.array_equal(anorm, want)
 
-    def test_shape_and_finiteness_rejected(self):
-        for b in (np.ones(5), np.ones((5, 2)), np.ones((6, 2, 1)), np.ones(())):
-            with pytest.raises(ValueError):
-                am.solve_complex(np.eye(6), b)
-        bad = np.eye(6, dtype=complex)
-        bad[2, 3] = np.nan
-        with pytest.raises(ValueError):
-            am.solve_complex(bad, np.ones(6))
-        with pytest.raises(ValueError):
-            am.char_poly(np.ones((2, 3)))
-
     def test_row_swaps_keep_small_pivots_out(self):
         # a zero and a 1e-20 leading entry: without a row swap the first
         # gives NaN and the second loses x[0] to cancellation
         a = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1e-20, 1.0], [1.0, 1.0]]], dtype=complex)
         b = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
-        np.testing.assert_allclose(am.solve_complex(a, b), [[2.0, 1.0], [1.0, 1.0]], rtol=1e-15)
-        np.testing.assert_allclose(am.solve_complex(a[1], b[1]), [1.0, 1.0], rtol=1e-15)
+        x, _, _ = lu_solve(*_batch_last(a, b))
+        np.testing.assert_allclose(x.T, [[2.0, 1.0], [1.0, 1.0]], rtol=1e-15)
+        x, _, _ = lu_solve(*_batch_last(a[1:], b[1:]))
+        np.testing.assert_allclose(x[:, 0], [1.0, 1.0], rtol=1e-15)
 
     def test_caller_arrays_unchanged(self):
-        # the solve works on its own copies, also when a complex128 input
-        # needs no conversion and a batch of one is contiguous batch-last
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
-        b = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-        for args in ((a, b), (a[:1], b[:1]), (a[0], b[0])):
+        # lu_solve works in place on scratch copies, which the Lyapunov
+        # solve makes: the caller's drifts and diffusions are only read, for
+        # a stack, a stack of one and a single system alike
+        js, ds = _stable_stack(np.random.default_rng(4), 6, 3)
+        for args in ((js, ds), (js[:1], ds[:1]), (js[0], ds[0])):
             before = [v.copy() for v in args]
-            am.solve_complex(*args)
+            assert np.isfinite(am.lyapunov_solve(*args)).all()
             for v, w in zip(args, before):
                 np.testing.assert_array_equal(v, w)
 
@@ -137,63 +136,35 @@ class TestSolveComplex:
         perms[moved < 4] = np.arange(6)[::-1]
         a = m[np.arange(64)[:, None], perms]
         b = rng.normal(size=(64, 6)) + 1j * rng.normal(size=(64, 6))
-        stack = am.solve_complex(a, b)
-        one = np.array([am.solve_complex(a[k], b[k]) for k in range(64)])
-        assert np.array_equal(stack, one)
-        empty = am.solve_complex(np.zeros((0, 6, 6), complex), np.zeros((0, 6), complex))
-        assert empty.shape == (0, 6)
+        stack = lu_solve(*_batch_last(a, b))
+        for k in range(64):
+            one = lu_solve(*_batch_last(a[k : k + 1], b[k : k + 1]))
+            for got, want in zip(one, stack):
+                assert np.array_equal(got[..., 0], want[..., k])
+        x, min_pivot, anorm = lu_solve(np.zeros((6, 6, 0), complex), np.zeros((6, 0), complex))
+        assert x.shape == (6, 0) and min_pivot.shape == anorm.shape == (0,)
 
-    @pytest.mark.parametrize("batch", [0, 1, 300])
-    def test_each_right_hand_side_solves_as_it_would_alone(self, batch):
-        # two right-hand sides on one factorization: each column must come
-        # back bit for bit as its own one-column solve, and a system of the
-        # stack as it would alone
-        rng = np.random.default_rng(50 + batch)
-        a = rng.normal(size=(batch, 6, 6)) + 1j * rng.normal(size=(batch, 6, 6))
-        b = rng.normal(size=(batch, 6, 2)) + 1j * rng.normal(size=(batch, 6, 2))
-        x = am.solve_complex(a, b)
-        assert x.shape == (batch, 6, 2)
-        for j in range(2):
-            assert np.array_equal(x[..., j], am.solve_complex(a, b[..., j]))
-            assert np.array_equal(x[..., j], am.solve_complex(a, b[..., j, None])[..., 0])
-        for k in range(min(batch, 5)):
-            assert np.array_equal(x[k], am.solve_complex(a[k], b[k]))
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_lu_solve_columns_match_the_one_column_layout(self, dtype):
-        # b as (n, r, batch) against the (n, batch) layout of r = 1, which
-        # the Lyapunov solve uses
-        rng = np.random.default_rng(52)
-        a = rng.normal(size=(21, 21, 7)).astype(dtype)
-        b = rng.normal(size=(21, 3, 7)).astype(dtype)
-        if dtype is complex:
-            a += 1j * rng.normal(size=a.shape)
-        x, min_pivot, anorm = lu_solve(a.copy(), b.copy())
-        assert x.shape == (21, 3, 7)
-        for j in range(3):
-            xj, pj, nj = lu_solve(a.copy(), b[:, j].copy())
-            assert xj.shape == (21, 7)
-            assert np.array_equal(x[:, j], xj)
-            assert np.array_equal(min_pivot, pj) and np.array_equal(anorm, nj)
-
-    def test_singular_system_is_nan_in_every_column(self):
-        rng = np.random.default_rng(53)
-        a = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6))
-        b = rng.normal(size=(3, 6, 2)) + 1j * rng.normal(size=(3, 6, 2))
-        a[1, :, 4] = 0.0
-        x = am.solve_complex(a, b)
-        assert np.all(np.isnan(x[1]))
-        assert np.all(np.isfinite(x[[0, 2]]))
-        one = am.solve_complex(a[1], b[1])
-        assert one.shape == (6, 2) and np.all(np.isnan(one))
+    def test_singular_system_is_nan_in_every_column(self, monkeypatch):
+        # A pivot flagged by lu_solve makes its system's column of the
+        # batch-last solution NaN, so the Lyapunov solve gives that drift a
+        # v of NaN and leaves its neighbours as they are.  The middle drift
+        # is stable, and its diagonal system's smallest pivot, 2e-6, is 1e-6
+        # of its row-sum norm, which a threshold of 1e-5 flags.
+        js = np.stack([-np.eye(6), np.diag([-1.0] * 5 + [-1e-6]), np.diag(-np.arange(1.0, 7.0))])
+        ds = np.broadcast_to(np.eye(6), js.shape)
+        want = am.lyapunov_solve(js, ds)
+        assert np.isfinite(want).all()
+        monkeypatch.setattr(numerics, "PIVOT_TOL", 1e-5)
+        v = am.lyapunov_solve(js, ds)
+        assert np.isnan(v[1]).all()
+        assert np.array_equal(v[[0, 2]], want[[0, 2]])
 
     def test_roundtrip_property(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            x_true = rng.normal(size=6) + 1j * rng.normal(size=6)
-            x = am.solve_complex(a, a @ x_true)
-            np.testing.assert_allclose(x, x_true, rtol=1e-9)
+        a = rng.normal(size=(20, 6, 6)) + 1j * rng.normal(size=(20, 6, 6))
+        x_true = rng.normal(size=(20, 6)) + 1j * rng.normal(size=(20, 6))
+        x, _, _ = lu_solve(*_batch_last(a, np.einsum("kij,kj->ki", a, x_true)))
+        np.testing.assert_allclose(x.T, x_true, rtol=1e-9)
 
 
 def _random_hessenberg(rng, n=6):
@@ -230,7 +201,7 @@ class TestHessenberg:
                 assert np.array_equal(g, np.eye(6)) and np.array_equal(g_inv, np.eye(6))
 
     @pytest.mark.parametrize("rhs", [(6,), (6, 2)], ids=["one", "two"])
-    def test_shifted_solve_matches_solve_complex(self, rhs):
+    def test_shifted_solve_matches_numpy_solve(self, rhs):
         rng = np.random.default_rng(63 + len(rhs))
         for _ in range(10):
             h = _random_hessenberg(rng)
@@ -239,7 +210,7 @@ class TestHessenberg:
             y = numerics.hessenberg_solve(h, b, s)
             assert y.shape == rhs + (200,)
             stack = h - s[:, None, None] * np.eye(6)
-            want = am.solve_complex(stack, np.broadcast_to(b, (200,) + rhs))
+            want = np.linalg.solve(stack, b.reshape(6, -1)).reshape((200,) + rhs)
             want = np.moveaxis(want, 0, -1)
             err = np.max(np.abs(y - want), axis=tuple(range(len(rhs))))
             assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=tuple(range(len(rhs)))))
@@ -316,6 +287,10 @@ class TestQuarticRoots:
 class TestCharPoly:
     def test_zero_matrix(self):
         np.testing.assert_allclose(am.char_poly(np.zeros((6, 6))), [1, 0, 0, 0, 0, 0, 0], atol=0)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            am.char_poly(np.ones((2, 3)))
 
     def test_diag_minus_one(self):
         # (lambda + 1)^6 binomial coefficients
