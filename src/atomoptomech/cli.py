@@ -20,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from .entanglement import detuning_sweep
-from .params import BACKACTION_WEIGHTS, C_LIGHT, SystemParams, validate
+from .params import C_LIGHT, SystemParams, validate
 from .spectrum import PoleAtOmega, spectrum_sweep
 from .steadystate import NoRoot, fixed_point
 
@@ -80,9 +80,6 @@ def parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in allowed:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "backaction_weight":
-                values[key] = val
-                continue
             try:
                 values[key] = float(val)
             except ValueError:
@@ -111,10 +108,6 @@ PARAM_FLAGS = (
     ("wavelength", "wavelength", "SI", "cavity wavelength [m] (alternative to --omega-c)"),
     ("temperature", "temperature", "SI", "mechanical bath temperature [K]"),
     ("n_thermal", "n_thermal", "SI", "mean thermal phonon number"),
-    ("chi", "chi", "SI", "collective drive amplitude [rad/s] (optional)"),
-    ("delta_a", "delta_a", "SI", "bare atomic detuning [rad/s] (optional)"),
-    ("backaction_weight", "backaction_weight", "SI",
-     "weight of the backaction term when inferring the drive amplitude"),
 )
 
 
@@ -162,10 +155,9 @@ def _add_param_flags(p: argparse.ArgumentParser, sets: tuple = ()):
     for dest, key, unit, help_text in PARAM_FLAGS:
         if key in sets:
             continue
-        kind = {"choices": BACKACTION_WEIGHTS} if key == "backaction_weight" else {"type": float}
         if unit != "SI":
             help_text += f" [units of {unit}]"
-        p.add_argument("--" + dest.lower().replace("_", "-"), dest=dest, help=help_text, **kind)
+        p.add_argument("--" + dest.lower().replace("_", "-"), dest=dest, help=help_text, type=float)
     if "delta_r" not in sets:
         p.add_argument("--case", choices=sorted(CASE_PRESETS), help="preset delta_r = gamma_r value")
 
@@ -404,9 +396,6 @@ def _entangle_flags(p):
 
 
 def _reproduce_flags(p):
-    # No abbreviations here: reproduce takes no --delta, and argparse would
-    # read one as --delta-a, the one flag it prefixes.
-    p.allow_abbrev = False
     _add_param_flags(p, sets=("coupling_G", "delta", "delta_r", "gamma_r"))
     p.add_argument("figure", choices=("fig2", "fig3", "fig4", "all"))
     p.add_argument("--outdir", default=".")

@@ -8,8 +8,7 @@ resonator coupled by radiation pressure.
 Figure-reproduction runs are parameterized by the dimensionless effective
 atomic detuning/decay pair (``delta_r``, ``gamma_r``) plus the effective
 cavity detuning ``delta``; the microscopic drive amplitude and bare atomic
-detuning are inferred from those knobs (see :func:`derive_couplings`).
-Setting ``chi``/``delta_a`` explicitly bypasses the inference.
+detuning are inferred from those knobs (see :func:`infer_drive`).
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ DEFAULT_WAVELENGTH = 1064e-9
 _DEFAULT_OMEGA_M = 2 * math.pi * 4e7
 _DEFAULT_KAPPA = 2 * math.pi * 2.5e6
 
-BACKACTION_WEIGHTS = ("delta", "kappa")
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -37,9 +34,7 @@ class SystemParams:
 
     ``delta`` is the effective cavity detuning (drive detuning shifted by the
     static radiation-pressure displacement) and is an input in
-    figure-reproduction mode.  ``chi`` (collective drive amplitude) and
-    ``delta_a`` (bare atomic detuning) are optional; when None they are
-    inferred from (delta_r, gamma_r).
+    figure-reproduction mode.
     """
 
     omega_m: float = _DEFAULT_OMEGA_M
@@ -56,13 +51,6 @@ class SystemParams:
     omega_c: float = 2 * math.pi * C_LIGHT / DEFAULT_WAVELENGTH
     temperature: float = 0.0
     n_thermal: float = 0.0
-    chi: float | None = None
-    delta_a: float | None = None
-    # Weight of the cavity backaction term inside the effective atomic decay
-    # used when inferring the drive amplitude: "delta" keeps the
-    # detuning-weighted form as written, "kappa" uses the linewidth-weighted
-    # convention.
-    backaction_weight: str = "delta"
 
     def replace(self, **kw) -> "SystemParams":
         return replace(self, **kw)
@@ -120,16 +108,12 @@ def validate(params: SystemParams) -> list[str]:
         val = getattr(params, name)
         if not math.isfinite(val) or val < 0:
             raise ValueError(f"{name} must be finite and non-negative, got {val!r}")
-    for name in ("delta", "delta_r", "chi", "delta_a"):
+    for name in ("delta", "delta_r"):
         val = getattr(params, name)
-        if val is not None and not np.isfinite(val).all():
+        if not np.isfinite(val).all():
             raise ValueError(f"{name} must be finite, got {val!r}")
     if not math.isfinite(params.n_atoms) or params.n_atoms < 1:
         raise ValueError(f"n_atoms must be finite and >= 1, got {params.n_atoms!r}")
-    if params.backaction_weight not in BACKACTION_WEIGHTS:
-        raise ValueError(
-            f"backaction_weight must be 'delta' or 'kappa', got {params.backaction_weight!r}"
-        )
 
     warnings = []
     from .steadystate import NoRoot, solve_beta
@@ -159,24 +143,6 @@ def single_photon_coupling(params: SystemParams) -> float:
     )
 
 
-def backaction_lorentzian(params: SystemParams, weight: str | None = None) -> float:
-    """Cavity-mediated shift G^2 w / (kappa^2 + delta^2) with w = delta or kappa.
-
-    G, kappa and delta are taken in units of s, the power of two at or
-    below max(kappa, |delta|), so no square overflows on its own and each
-    operation rounds as it would unscaled.  A shift out of floating-point
-    range raises OverflowError.
-    """
-    if weight is None:
-        weight = params.backaction_weight
-    w = params.delta if weight == "delta" else params.kappa
-    s = np.ldexp(1.0, np.frexp(np.maximum(params.kappa, np.abs(params.delta)))[1] - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = (params.coupling_G / s) ** 2 * w / ((params.kappa / s) ** 2 + (params.delta / s) ** 2)
-    check_finite("cavity backaction shift G^2 w / (kappa^2 + delta^2)", shift, params)
-    return shift if np.ndim(shift) else float(shift)
-
-
 def check_finite(quantity: str, value, params: SystemParams) -> None:
     """Raise OverflowError naming ``quantity`` and the coupling it scales
     with, unless every entry of ``value`` is finite."""
@@ -187,20 +153,28 @@ def check_finite(quantity: str, value, params: SystemParams) -> None:
 def infer_drive(params: SystemParams, excitation: float) -> tuple[float, float]:
     """Infer (drive_amp, delta_a) from the dimensionless effective knobs.
 
-    Inverts the definitions of the effective atomic decay and detuning at
-    the given excitation fraction.  Explicit ``chi``/``delta_a`` fields win.
+    The cavity at its steady state, c = -i G sqrt(N) beta (1 - e/2) /
+    (kappa + i delta) with e = |beta|^2, pulls on the atomic amplitude as
+    -i K beta, with
+
+        K = -i G^2 (1 - e/2) [(1 - e)/(kappa + i delta) + e/(2 (kappa - i delta))],
+
+    so the atomic equation is stationary exactly when
+    (delta_r - i gamma_r) drive = (delta_a - i gamma_a) + K.  K is taken in
+    units of s, the power of two at or below max(kappa, |delta|), so no
+    square overflows on its own and each operation rounds as it would
+    unscaled.  A K out of floating-point range raises OverflowError.
     """
-    lor_weighted = backaction_lorentzian(params)
-    lor_detuning = backaction_lorentzian(params, weight="delta")
-    if params.chi is not None:
-        drive = params.chi / math.sqrt(params.n_atoms)
-    else:
-        drive = (params.gamma_a + lor_weighted * (1.0 - excitation)) / params.gamma_r
-    if params.delta_a is not None:
-        delta_a = params.delta_a
-    else:
-        delta_a = params.delta_r * drive + lor_detuning * (1.0 - 2.0 * excitation)
-    return drive, delta_a
+    e = excitation
+    s = np.ldexp(1.0, np.frexp(np.maximum(params.kappa, np.abs(params.delta)))[1] - 1)
+    kappa, delta = params.kappa / s, params.delta / s
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = -1j * (params.coupling_G / s) ** 2 * (1.0 - e / 2.0) * (
+            (1.0 - e) / (kappa + 1j * delta) + e / (2.0 * (kappa - 1j * delta))
+        ) * s
+    check_finite("cavity backaction K", k, params)
+    drive = (params.gamma_a - k.imag) / params.gamma_r
+    return drive, params.delta_r * drive - k.real
 
 
 def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
@@ -223,16 +197,14 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
     g3 = g * beta * beta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         drive, delta_a = infer_drive(params, excitation)
-        chi = drive * sqrt_n
-        g1 = (g * ss.c_s + chi) * beta / sqrt_n
+        g1 = (g * ss.c_s / sqrt_n + drive) * beta
         delta_a_prime = (
             delta_a
             - 2.0 * (g / sqrt_n) * (ss.c_s.conjugate() * beta).real
-            - 2.0 * (chi / sqrt_n) * beta.real
+            - 2.0 * drive * beta.real
         )
     # In this order, the first named is where the overflow started.  g2 and
     # g3 are G times O(1): finite wherever |c_s|^2 is.
-    check_finite("collective drive chi", chi, params)
     check_finite("atom-cavity coupling g1", g1, params)
     check_finite("shifted atomic detuning delta_a'", delta_a_prime, params)
 

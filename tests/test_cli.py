@@ -117,28 +117,6 @@ class TestConfig:
         p = cli.build_params(_Namespace(wavelength=780e-9))
         assert p.omega_c == pytest.approx(2 * math.pi * 299792458.0 / 780e-9)
 
-    def test_backaction_weight_flag_and_config_line(self, capsys, tmp_path, monkeypatch):
-        # the flag and the config key both reach SystemParams; "kappa"
-        # changes the inferred drive, so it changes the entanglement rows
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-        cfg = tmp_path / "kappa.cfg"
-        cfg.write_text("backaction_weight = kappa\n")
-        assert cli.build_params(_Namespace(config=str(cfg))).backaction_weight == "kappa"
-        argv = ["entangle", "--case", "1", "--g", "25", "--points", "5"]
-        _, delta, _ = run_cli(capsys, *argv)
-        code, flag, _ = run_cli(capsys, *argv, "--backaction-weight", "kappa")
-        assert code == cli.EXIT_OK
-        _, line, _ = run_cli(capsys, *argv, "--config", str(cfg))
-        assert flag == line != delta
-
-    def test_bad_backaction_weight_is_config_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("backaction_weight = bogus\n")
-        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
-        assert code == cli.EXIT_CONFIG
-        assert err.startswith("config error:") and "'bogus'" in err
-
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_bad_wavelength_flag_is_config_error(self, capsys, monkeypatch, value):
         monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
@@ -158,7 +136,7 @@ class TestConfig:
 # The SI flags by argparse dest, which is the SystemParams field each sets.
 SI_FLAGS = (
     "omega_m", "kappa", "n_atoms", "coupling_G", "delta_r", "gamma_r", "cavity_length",
-    "mirror_mass", "omega_c", "temperature", "n_thermal", "chi", "delta_a",
+    "mirror_mass", "omega_c", "temperature", "n_thermal",
 )
 
 
@@ -167,17 +145,14 @@ class TestParamTable:
         keys = [f.name for f in dataclasses.fields(am.SystemParams)] + ["wavelength"]
         assert {"gamma_a", "gamma_m", "delta"} <= set(keys)
         cfg = tmp_path / "all.cfg"
-        cfg.write_text(
-            "".join(f"{k} = {'kappa' if k == 'backaction_weight' else 0.75}\n" for k in keys)
-        )
+        cfg.write_text("".join(f"{k} = 0.75\n" for k in keys))
         values = cli.parse_config_file(str(cfg))
         assert sorted(values) == sorted(keys)
         p = cli.build_params(_Namespace(config=str(cfg)))
         for key in keys:
-            if key not in ("omega_c", "wavelength", "backaction_weight"):
+            if key not in ("omega_c", "wavelength"):
                 assert getattr(p, key) == 0.75, key
         assert p.omega_c == 2 * math.pi * 299792458.0 / 0.75
-        assert p.backaction_weight == "kappa"
 
     @pytest.mark.parametrize("dest", SI_FLAGS)
     def test_si_flag_sets_its_field(self, dest, monkeypatch):
@@ -246,7 +221,7 @@ REMOVED_FLAGS = [
 )
 def test_removed_flag_exits_2_and_writes_nothing(capsys, tmp_path, command, flag, value):
     # the full flag must not be read as a kept flag it prefixes
-    # (reproduce --delta as --delta-a, say): argparse rejects it
+    # (entangle --delta as --delta-min, say): argparse rejects it
     if command == "reproduce":
         argv = [command, "all", "--outdir", str(tmp_path / "out"), "--points", "3"]
     else:
@@ -504,7 +479,7 @@ class TestEntangleCommand:
         (("entangle", "--g", "1e300", "--points", "3"), "intracavity photon number |c_s|^2"),
         (("steady", "--g", "1e300"), "intracavity photon number |c_s|^2"),
         # |c_s|^2 is in range, but a quantity built from it is not
-        (("spectrum", "--g", "1e150", "--points", "3"), "collective drive chi"),
+        (("spectrum", "--g", "1e150", "--points", "3"), "atom-cavity coupling g1"),
         (
             ("entangle", "--g", "1e150", "--points", "3"),
             "static mirror displacement x_s = g0 |c_s|^2 / omega_m",
@@ -577,7 +552,7 @@ def test_zero_points_writes_the_header_only(capsys, command, header):
 
 def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
     # one atom, so the photon number stays in range and the cavity
-    # backaction shift G^2 w / (kappa^2 + delta^2) is what overflows
+    # backaction K, of order G^2 / (kappa + i delta), is what overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
@@ -585,7 +560,7 @@ def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
             "--points", "3",
         )
     assert code == cli.EXIT_NUMERIC
-    assert err.startswith("numeric failure: cavity backaction shift")
+    assert err.startswith("numeric failure: cavity backaction K overflows at coupling_G")
     assert "coupling_G" in err
 
 
@@ -598,7 +573,7 @@ def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
     ids=["entangle-omega-m", "entangle-kappa"],
 )
 def test_huge_rate_gives_unstable_rows_without_warnings(capsys, argv):
-    # kappa^2 + delta^2 overflows, but the backaction shift does not: it is
+    # kappa^2 + delta^2 overflows, but the backaction K does not: it is
     # taken in units of max(kappa, |delta|), so every row is data
     with warnings.catch_warnings():
         warnings.simplefilter("error")

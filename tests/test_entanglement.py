@@ -144,7 +144,7 @@ class TestSteadyCovariance:
         assert np.all(np.isnan(v))
 
     def test_sweep_peak_memory(self, default_params):
-        # the 500-point case-1, G = 25 kappa sweep solves its 486 stable
+        # the 500-point case-1, G = 25 kappa sweep solves its 488 stable
         # drifts as one 1.6 MiB stack of 21x21 systems; one more temporary
         # of the stack's size would push the peak past 4 MiB
         p = default_params.with_case(1.0, 1.0)
@@ -158,7 +158,7 @@ class TestSteadyCovariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.isfinite(v).all(axis=(1, 2)).sum() == 486
+        assert np.isfinite(v).all(axis=(1, 2)).sum() == 488
         assert peak <= 3.3 * 2**20
 
     def test_residual_on_fig_case(self, default_params):
