@@ -107,7 +107,6 @@ PARAM_FLAGS = (
     ("omega_c", "omega_c", "SI", "cavity angular frequency [rad/s]"),
     ("wavelength", "wavelength", "SI", "cavity wavelength [m] (alternative to --omega-c)"),
     ("temperature", "temperature", "SI", "mechanical bath temperature [K]"),
-    ("n_thermal", "n_thermal", "SI", "mean thermal phonon number"),
 )
 
 

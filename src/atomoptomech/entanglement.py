@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import char_poly, lyapunov_solve, routh_hurwitz_stable, symplectic_nu
-from .params import DerivedCouplings, SystemParams, derive_couplings
+from .params import DerivedCouplings, SystemParams, derive_couplings, thermal_factor
 from .steadystate import NoRoot, SteadyState, fixed_point
 
 
@@ -69,7 +69,7 @@ def build_drift(
     frequency-domain system matrix of :func:`~atomoptomech.spectrum.build_matrix`
     is this drift in the complex basis.  Its real entries are the
     quadrature projections of the couplings, with a = (X + iY)/sqrt(2) and
-    c = (U + iV)/sqrt(2).
+    c = (U + iV)/sqrt(2).  D_pp = gamma_m (2 n + 1) = gamma_m + thermal_factor(omega_m).
     """
     c = couplings
     g2 = c.g2.real  # depletion-corrected coupling is real by construction
@@ -89,7 +89,7 @@ def build_drift(
     d = np.zeros_like(j)
     d[..., range(6), range(6)] = (
         0.0,
-        params.gamma_m * (2.0 * params.n_thermal + 1.0),
+        params.gamma_m + thermal_factor(params, params.omega_m),
         params.kappa,
         params.kappa,
         params.gamma_a,

@@ -388,6 +388,9 @@ def symplectic_nu(v4):
     v4 = np.array(v4, dtype=np.float64)
     if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
         raise ValueError("symplectic_nu expects 4x4 matrices")
+    # nu(s v) = s nu(v): entries past 2^64 go in power-of-two units, so det v stays finite
+    s = np.ldexp(1.0, np.maximum(np.frexp(np.abs(v4).max(axis=(-2, -1)))[1] - 64, 0))
+    v4 /= s[..., None, None]
     a = _det2(v4[..., :2, :2])
     b = _det2(v4[..., 2:, 2:])
     c = _det2(v4[..., :2, 2:])
@@ -396,4 +399,4 @@ def symplectic_nu(v4):
     inner = sigma - np.sqrt(np.maximum(rad, 0.0))
     nu = np.sqrt(np.maximum(inner, 0.0) / 2.0)
     # nu = 0 is no physical state either: it would give E_N = inf.
-    return np.where((rad < -1e-9) | (inner <= 0.0), np.nan, nu)[()]
+    return np.where((rad < -1e-9) | (inner <= 0.0), np.nan, nu * s)[()]

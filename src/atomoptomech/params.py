@@ -50,7 +50,6 @@ class SystemParams:
     mirror_mass: float = 1e-13
     omega_c: float = 2 * math.pi * C_LIGHT / DEFAULT_WAVELENGTH
     temperature: float = 0.0
-    n_thermal: float = 0.0
 
     def replace(self, **kw) -> "SystemParams":
         return replace(self, **kw)
@@ -90,7 +89,7 @@ _POSITIVE_FIELDS = (
     "mirror_mass",
     "omega_c",
 )
-_NONNEG_FIELDS = ("coupling_G", "temperature", "n_thermal")
+_NONNEG_FIELDS = ("coupling_G", "temperature")
 
 
 def validate(params: SystemParams) -> list[str]:
@@ -141,6 +140,30 @@ def single_photon_coupling(params: SystemParams) -> float:
         / params.cavity_length
         * math.sqrt(HBAR / (params.mirror_mass * params.omega_m))
     )
+
+
+def thermal_factor(params: SystemParams, omega):
+    """Brownian-noise spectral weight (gamma_m/omega_m) w [coth(hw/2kT) - 1].
+
+    Zero for positive frequencies at T = 0; the negative-frequency branch
+    tends to -2 gamma_m w / omega_m.  At T > 0 and w = 0 it takes its finite
+    limit 2 gamma_m k_B T / (hbar omega_m).  A temperature at which the
+    weight overflows at a finite frequency raises OverflowError.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if params.temperature <= 0.0:
+        return np.where(omega > 0.0, 0.0, -2.0 * params.gamma_m * omega / params.omega_m)[()]
+    kt = K_BOLTZMANN * params.temperature
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = HBAR * omega / (2.0 * kt)
+        th = params.gamma_m / params.omega_m * omega * (-1.0 + 1.0 / np.tanh(x))
+    limit = 2.0 * params.gamma_m * kt / (HBAR * params.omega_m)
+    th = np.where(omega == 0.0, limit, th)
+    if not np.isfinite(th[np.isfinite(omega)]).all():
+        raise OverflowError(
+            f"thermal noise weight overflows at temperature = {params.temperature:.6g} K"
+        )
+    return th[()]
 
 
 def check_finite(quantity: str, value, params: SystemParams) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .entanglement import build_drift
 from .numerics import hessenberg, hessenberg_solve
-from .params import HBAR, K_BOLTZMANN, DerivedCouplings, SystemParams, derive_couplings
+from .params import DerivedCouplings, SystemParams, derive_couplings, thermal_factor
 from .steadystate import SteadyState, fixed_point
 
 
@@ -287,31 +287,6 @@ def transfer_closed_form(
         raise PoleAtOmega(f"denominator vanished at omega={w!r}")
     row = [br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 0.0, 1j * g0 * wm * br_f / d]
     return _output_map(params, np.array(row))
-
-
-def thermal_factor(params: SystemParams, omega):
-    """Brownian-noise spectral weight (gamma_m/omega_m) w [coth(hw/2kT) - 1].
-
-    Zero for positive frequencies at T = 0; the negative-frequency branch
-    tends to -2 gamma_m w / omega_m.  At T > 0 and w = 0 it takes its finite
-    limit 2 gamma_m k_B T / (hbar omega_m).  A temperature at which the
-    weight overflows at a finite frequency raises OverflowError.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if params.temperature <= 0.0:
-        th = np.where(omega > 0.0, 0.0, -2.0 * params.gamma_m * omega / params.omega_m)
-        return th[()]
-    kt = K_BOLTZMANN * params.temperature
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = HBAR * omega / (2.0 * kt)
-        th = params.gamma_m / params.omega_m * omega * (-1.0 + 1.0 / np.tanh(x))
-    limit = 2.0 * params.gamma_m * kt / (HBAR * params.omega_m)
-    th = np.where(omega == 0.0, limit, th)
-    if not np.isfinite(th[np.isfinite(omega)]).all():
-        raise OverflowError(
-            f"thermal noise weight overflows at temperature = {params.temperature:.6g} K"
-        )
-    return th[()]
 
 
 def output_spectrum(

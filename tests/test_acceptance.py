@@ -73,6 +73,15 @@ def _peak(table):
     return am.EntanglementResult(table.delta_over_omega_m[i], True, table.e_n[i], table.nu[i])
 
 
+def _peak_text(peak, form="{:.4f} at {:.3f} omega_m"):
+    """``form`` filled with a peak's E_N and detuning.  Where E_N is 0 at
+    every stable point (or none is stable) there is no peak to name: the
+    argmax would give only the grid's first stable point."""
+    if peak is None or peak.e_n == 0.0:
+        return "none: no entanglement on the grid"
+    return form.format(peak.e_n, peak.delta_over_omega_m)
+
+
 def test_criterion_1_steady_state_excitations():
     t0 = time.perf_counter()
     excs = {c: abs(am.solve_beta(c, c)[0]) ** 2 for c in (1.0, 2.5, 8.0)}
@@ -148,7 +157,7 @@ def test_criterion_4_squeezing_panels():
 
 
 def test_criterion_5_entanglement_peak():
-    p = am.SystemParams(n_thermal=0.0)
+    p = am.SystemParams()
     p = p.replace(coupling_G=25.0 * p.kappa)
     grid = np.linspace(0.0, 3.0, 500) * p.omega_m
     t0 = time.perf_counter()
@@ -164,16 +173,15 @@ def test_criterion_5_entanglement_peak():
     )
     ok = value_ok and location_ok and order_ok
     detail = (
-        f"peak {peak.e_n:.4f} at {peak.delta_over_omega_m:.3f} omega_m "
-        f"(target 0.34+-0.05 at 1.22+-0.10); low-excitation peak "
-        f"{peak_low.e_n:.4f} ({elapsed:.1f} s)"
+        f"peak {_peak_text(peak)} (target 0.34+-0.05 at 1.22+-0.10); "
+        f"low-excitation peak {_peak_text(peak_low, '{:.4f}')} ({elapsed:.1f} s)"
     )
     assert ok, _report(5, ok, detail)
     _report(5, ok, detail)
 
 
 def test_criterion_6_atom_number_coincidence():
-    p = am.SystemParams(n_thermal=0.0)
+    p = am.SystemParams()
     grid = np.linspace(0.0, 3.0, 500) * p.omega_m
     peaks = {}
     for n_atoms in (1e6, 1e7):
@@ -188,8 +196,8 @@ def test_criterion_6_atom_number_coincidence():
         and abs(p6.delta_over_omega_m - p7.delta_over_omega_m) <= 0.05
     )
     detail = (
-        f"peaks {p6.e_n:.4f}@{p6.delta_over_omega_m:.3f} (1e6 atoms) vs "
-        f"{p7.e_n:.4f}@{p7.delta_over_omega_m:.3f} (1e7 atoms)"
+        f"peaks {_peak_text(p6, '{:.4f}@{:.3f}')} (1e6 atoms) vs "
+        f"{_peak_text(p7, '{:.4f}@{:.3f}')} (1e7 atoms)"
     )
     assert ok, _report(6, ok, detail)
     _report(6, ok, detail)

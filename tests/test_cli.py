@@ -13,6 +13,7 @@ import pytest
 import atomoptomech as am
 from atomoptomech import cli
 from atomoptomech import svg as svg_module
+from atomoptomech.params import DEFAULT_WAVELENGTH
 from atomoptomech.svg import line_plot
 
 
@@ -136,7 +137,7 @@ class TestConfig:
 # The SI flags by argparse dest, which is the SystemParams field each sets.
 SI_FLAGS = (
     "omega_m", "kappa", "n_atoms", "coupling_G", "delta_r", "gamma_r", "cavity_length",
-    "mirror_mass", "omega_c", "temperature", "n_thermal",
+    "mirror_mass", "omega_c", "temperature",
 )
 
 
@@ -153,6 +154,18 @@ class TestParamTable:
             if key not in ("omega_c", "wavelength"):
                 assert getattr(p, key) == 0.75, key
         assert p.omega_c == 2 * math.pi * 299792458.0 / 0.75
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        # the README's "Config files" paragraph names the SystemParams
+        # fields, then "plus `wavelength`"
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        paragraph = text.split("### Config files\n\n", 1)[1].split("\n\n", 1)[0]
+        listed, plus, _ = " ".join(paragraph.split()).partition(", plus `wavelength`")
+        assert plus, "no 'plus `wavelength`' in the Config files paragraph"
+        names = re.findall(r"`(\w+)`", listed.split("fields:", 1)[1])
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(am.SystemParams))
 
     @pytest.mark.parametrize("dest", SI_FLAGS)
     def test_si_flag_sets_its_field(self, dest, monkeypatch):
@@ -304,6 +317,106 @@ class TestParser:
                 want.add("--case")
         out = _help(capsys, command)
         assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == want
+
+
+def _moved_value(key: str, unit: str) -> str:
+    """Twice a parameter flag's default, in the flag's unit, or 1 where the
+    default is 0."""
+    p = am.SystemParams()
+    default = DEFAULT_WAVELENGTH if key == "wavelength" else getattr(p, key)
+    if unit != "SI":
+        default /= getattr(p, unit)
+    return repr(2.0 * default or 1.0)
+
+
+SWEPT_FLAGS = [
+    (command, "--" + dest.lower().replace("_", "-"), _moved_value(key, unit))
+    for command in ("spectrum", "entangle")
+    for dest, key, unit, _ in cli.PARAM_FLAGS
+    if key not in COMMAND_FLAGS[command][0]
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value", SWEPT_FLAGS, ids=[f"{c}{f}" for c, f, _ in SWEPT_FLAGS]
+)
+def test_no_parameter_flag_is_ignored(capsys, command, flag, value):
+    # a flag a command takes must reach its output: moving it off its
+    # default moves some cell of the CSV
+    code, base, err = run_cli(capsys, command, "--points", "5")
+    assert code == cli.EXIT_OK and err == ""
+    code, moved, err = run_cli(capsys, command, "--points", "5", flag, value)
+    assert code == cli.EXIT_OK and err == ""
+    assert moved != base
+
+
+@pytest.mark.parametrize("command", ["steady", "spectrum", "entangle", "reproduce"])
+def test_phonon_number_flag_is_gone(capsys, tmp_path, monkeypatch, command):
+    # the bath is set by --temperature alone; the thermal phonon number is
+    # worked out from it
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "steady": ["steady"],
+        "spectrum": ["spectrum", "--points", "3", "--out", "s.csv"],
+        "entangle": ["entangle", "--points", "3", "--out", "e.csv"],
+        "reproduce": ["reproduce", "all", "--points", "3", "--outdir", "out"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--n-thermal", "3"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "error: unrecognized arguments: --n-thermal 3" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_phonon_number_config_key_is_gone(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_thermal = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err == f"config error: {cfg}:1: unknown key 'n_thermal'\n"
+
+
+THERMAL_OVERFLOW = "thermal noise weight overflows at temperature = 1e+300 K"
+
+
+@pytest.mark.parametrize(
+    "argv, err_line",
+    [
+        (["entangle", "--out", "e.csv"], f"numeric failure: {THERMAL_OVERFLOW}"),
+        (["reproduce", "fig3"], f"error: fig3 failed: OverflowError: {THERMAL_OVERFLOW}"),
+        (["reproduce", "fig4"], f"error: fig4 failed: OverflowError: {THERMAL_OVERFLOW}"),
+    ],
+    ids=["entangle", "fig3", "fig4"],
+)
+def test_overflowing_thermal_weight_fails_the_drift_too(capsys, tmp_path, monkeypatch, argv,
+                                                        err_line):
+    # the drift's phonon diffusion reads the same thermal weight as the
+    # spectrum, so entangle and the entanglement panels fail as spectrum
+    # and fig2 do, with no NumPy warning and no file written
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv, "--temperature", "1e300", "--points", "5")
+    assert code == cli.EXIT_NUMERIC and out == ""
+    assert err == err_line + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hot_mirror_below_the_overflow_runs_clean(capsys):
+    # from about 1e74 K the fourth powers of the covariance leave the
+    # double range; the symplectic eigenvalue takes them in power-of-two
+    # units, so the stable rows keep a finite nu and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "entangle", "--temperature", "5e299", "--points", "3")
+    assert code == cli.EXIT_OK and err == ""
+    row = out.splitlines()[1].split(",")
+    assert row[1] == "true" and math.isfinite(float(row[3]))
 
 
 def test_import_leaves_the_verify_and_json_modules_unloaded():

@@ -7,7 +7,7 @@ from conftest import eig_stable, symplectic_nu_oracle, symplectic_spectrum
 
 import atomoptomech as am
 from atomoptomech.entanglement import is_stable
-from atomoptomech.params import DerivedCouplings
+from atomoptomech.params import HBAR, K_BOLTZMANN, DerivedCouplings
 from atomoptomech.steadystate import SteadyState
 
 
@@ -48,7 +48,7 @@ class TestBuildDrift:
         assert j[4, 4] == -p.gamma_a and j[5, 5] == -p.gamma_a
         np.testing.assert_allclose(
             np.diag(ds.d),
-            [0, p.gamma_m * (2 * p.n_thermal + 1), p.kappa, p.kappa, p.gamma_a, p.gamma_a],
+            [0, p.gamma_m, p.kappa, p.kappa, p.gamma_a, p.gamma_a],
         )
 
     def test_real_amplitudes_kill_phase_couplings(self, default_params):
@@ -120,7 +120,7 @@ class TestBuildDrift:
 class TestSteadyCovariance:
     def test_decoupled_vacuum_blocks(self, default_params):
         p = default_params.replace(
-            delta=0.5 * default_params.omega_m, n_thermal=0.0,
+            delta=0.5 * default_params.omega_m,
             gamma_a=default_params.kappa,
         )
         ds = am.build_drift(p, _couplings_zero(), _vacuum_ss())
@@ -129,8 +129,10 @@ class TestSteadyCovariance:
         np.testing.assert_allclose(v[:2, :2], 0.5 * np.eye(2), atol=1e-10)
 
     def test_thermal_mechanical_occupation(self, default_params):
+        # the bath temperature at which omega_m holds n = 3.5 phonons
         n = 3.5
-        p = default_params.replace(delta=0.5 * default_params.omega_m, n_thermal=n)
+        t = HBAR * default_params.omega_m / (K_BOLTZMANN * np.log1p(1.0 / n))
+        p = default_params.replace(delta=0.5 * default_params.omega_m, temperature=t)
         ds = am.build_drift(p, _couplings_zero(), _vacuum_ss())
         v = am.steady_covariance(ds)
         np.testing.assert_allclose(v[0, 0], n + 0.5, rtol=1e-9)
@@ -356,7 +358,7 @@ class TestOptomechanicalLimit:
         ])
         if not eig_stable(j):
             return None
-        d = np.diag([0.0, p.gamma_m * (2 * p.n_thermal + 1), k, k])
+        d = np.diag([0.0, p.gamma_m, k, k])
         return symplectic_nu_oracle(linalg.solve_continuous_lyapunov(j, -d))
 
     @pytest.mark.parametrize(

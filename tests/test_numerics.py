@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_nu_oracle
@@ -557,6 +559,22 @@ class TestSymplecticNu:
         assert nu.shape == (9,)
         assert np.isnan(nu[4])
         np.testing.assert_array_equal(nu, [am.symplectic_nu(v) for v in vs])
+
+    def test_huge_covariance_scales_exactly(self):
+        # nu(s v) = s nu(v); a hot mirror's covariance, whose fourth powers
+        # overflow, is taken in power-of-two units: bit for bit the small
+        # one scaled, alone or in a stack of mixed sizes, with no warning
+        rng = np.random.default_rng(43)
+        vs = np.array([random_covariance(rng) for _ in range(6)])
+        small = am.symplectic_nu(vs)
+        scales = np.ldexp(1.0, np.array([0, 30, 63, 64, 200, 1000]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = am.symplectic_nu(vs * scales[:, None, None])
+            one = am.symplectic_nu(vs[4] * scales[4])
+        assert np.all(np.isfinite(small))
+        np.testing.assert_array_equal(big, small * scales)
+        assert one == big[4]
 
     def test_stack_with_zero_determinant_row(self):
         rng = np.random.default_rng(41)

@@ -139,7 +139,7 @@ class TestFixedPoint:
         # delta + g0 x_s: one array call over criterion 5's grid gives it,
         # with no iteration.  At N = 1e7 the map folds back (a bare
         # detuning has three effective ones), at N = 1e6 it is monotone.
-        p = am.SystemParams(n_thermal=0.0).with_case(1.0, 1.0)
+        p = am.SystemParams().with_case(1.0, 1.0)
         p = p.replace(coupling_G=25.0 * p.kappa)
         grid = np.linspace(0.0, 3.0, 3001) * p.omega_m
         for n_atoms, folds in ((1e7, True), (1e6, False)):
