@@ -1,12 +1,14 @@
 """Command-line interface: steady, spectrum, entangle, reproduce, verify.
 
 The parameter flags come from one table, PARAM_FLAGS, and a command takes
-none for a field it sets itself.  Units at the CLI mirror the way operating
-points are usually quoted: ``--g`` and ``--gamma-a`` in units of kappa,
-``--delta`` and ``--gamma-m`` in units of omega_m, everything else SI.
-Config files are flat ``key = value`` text with SI values, keyed by a
-SystemParams field or ``wavelength``; flags override file values.  The
-environment variable ATOMOPTOMECH_CONFIG supplies a default config path.
+none for a field it sets itself.  Each field has one flag.  Units at the CLI
+mirror the way operating points are usually quoted: ``--g`` and
+``--gamma-a`` in units of kappa, ``--delta`` and ``--gamma-m`` in units of
+omega_m, everything else SI.  ``--case`` presets delta_r and gamma_r and
+refuses ``--delta-r`` and ``--gamma-r``.  Config files are flat
+``key = value`` text with SI values, keyed by the SystemParams fields;
+flags override file values.  The environment variable ATOMOPTOMECH_CONFIG
+supplies a default config path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from .entanglement import detuning_sweep
-from .params import C_LIGHT, SystemParams, validate
+from .params import SystemParams, validate
 from .spectrum import PoleAtOmega, spectrum_sweep
 from .steadystate import NoRoot, fixed_point
 
@@ -64,9 +66,8 @@ def _run_config(args, *paths) -> SystemParams:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value config: SI values, keyed by a SystemParams field or
-    ``wavelength``."""
-    allowed = {f.name for f in fields(SystemParams)} | {"wavelength"}
+    """Flat key = value config: SI values, keyed by a SystemParams field."""
+    allowed = {f.name for f in fields(SystemParams)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -98,32 +99,19 @@ PARAM_FLAGS = (
     ("gamma_m", "gamma_m", "omega_m", "mechanical damping"),
     ("n_atoms", "n_atoms", "SI", "atom count"),
     ("g", "coupling_G", "kappa", "atom-cavity coupling"),
-    ("coupling_G", "coupling_G", "SI", "atom-cavity coupling [rad/s] (SI alternative to --g)"),
     ("delta", "delta", "omega_m", "effective cavity detuning"),
     ("delta_r", "delta_r", "SI", "dimensionless effective atomic detuning"),
     ("gamma_r", "gamma_r", "SI", "dimensionless effective atomic decay"),
     ("cavity_length", "cavity_length", "SI", "cavity length [m]"),
     ("mirror_mass", "mirror_mass", "SI", "mirror mass [kg]"),
     ("omega_c", "omega_c", "SI", "cavity angular frequency [rad/s]"),
-    ("wavelength", "wavelength", "SI", "cavity wavelength [m] (alternative to --omega-c)"),
     ("temperature", "temperature", "SI", "mechanical bath temperature [K]"),
 )
 
 
-def _layer(params: SystemParams, values: dict) -> SystemParams:
-    """``params`` with the SI ``values`` of one layer set, keyed as in a
-    config file; a ``wavelength`` beats an ``omega_c`` of the same layer."""
-    values = dict(values)
-    wavelength = values.pop("wavelength", None)
-    if wavelength is not None:
-        if not math.isfinite(wavelength) or wavelength <= 0:
-            raise ConfigError(f"wavelength must be finite and positive, got {wavelength!r}")
-        values["omega_c"] = 2 * math.pi * C_LIGHT / wavelength
-    return params.replace(**values)
-
-
 def build_params(args) -> SystemParams:
-    """Defaults <- config file <- SI flags <- scaled flags <- ``--case``."""
+    """Defaults <- config file <- SI flags <- scaled flags <- ``--case``;
+    ``--case`` sets delta_r and gamma_r, so their flags may not come with it."""
     file_vals: dict = {}
     path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
@@ -132,17 +120,21 @@ def build_params(args) -> SystemParams:
             print(f"warning: {ENV_CONFIG}={path} does not exist; ignored", file=sys.stderr)
         else:
             file_vals = parse_config_file(path)
-    params = _layer(SystemParams(), file_vals)
+    params = SystemParams(**file_vals)
 
     flags = [(key, unit, getattr(args, dest, None)) for dest, key, unit, _ in PARAM_FLAGS]
     flags = [(key, unit, val) for key, unit, val in flags if val is not None]
-    params = _layer(params, {key: val for key, unit, val in flags if unit == "SI"})
+    params = params.replace(**{key: val for key, unit, val in flags if unit == "SI"})
     params = params.replace(
         **{key: val * getattr(params, unit) for key, unit, val in flags if unit != "SI"}
     )
 
     case = getattr(args, "case", None)
     if case is not None:
+        for key in ("delta_r", "gamma_r"):
+            if getattr(args, key, None) is not None:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"--case sets delta_r and gamma_r; drop {flag} or --case")
         params = params.with_case(*CASE_PRESETS[case])
     return params
 
@@ -158,7 +150,8 @@ def _add_param_flags(p: argparse.ArgumentParser, sets: tuple = ()):
             help_text += f" [units of {unit}]"
         p.add_argument("--" + dest.lower().replace("_", "-"), dest=dest, help=help_text, type=float)
     if "delta_r" not in sets:
-        p.add_argument("--case", choices=sorted(CASE_PRESETS), help="preset delta_r = gamma_r value")
+        p.add_argument("--case", choices=sorted(CASE_PRESETS),
+                       help="preset delta_r = gamma_r value; not with --delta-r or --gamma-r")
 
 
 def _write_text(path: str, text: str):
@@ -168,18 +161,24 @@ def _write_text(path: str, text: str):
 
 def _csv(header, columns) -> str:
     """CSV text of equal-length columns: numbers to 12 significant digits,
-    NaN and inf as an empty cell, strings as they are.  A numeric column is
-    formatted by one ``%`` over all its cells."""
-    cells = []
-    for column in map(np.asarray, columns):
-        if column.dtype.kind == "U":
-            cells.append(column.tolist())
-            continue
-        text = ("%.12g\n" * column.size % tuple(column.tolist())).split("\n")[:-1]
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            text[i] = ""
-        cells.append(text)
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    NaN and inf as an empty cell, strings as they are.  The whole table is
+    formatted row-major by one ``%``; an empty cell is an empty ``%s``."""
+    columns = [np.asarray(c) for c in columns]
+    specs = ["%s" if c.dtype.kind == "U" else "%.12g" for c in columns]
+    cells = [c.tolist() for c in columns]
+    rows = [",".join(specs)] * (len(cells[0]) if cells else 0)
+    blank = {}  # row -> its specs, where it has an empty cell
+    for k, column in enumerate(columns):
+        if specs[k] != "%s":
+            for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                blank.setdefault(i, list(specs))[k] = "%s"
+                cells[k][i] = ""
+    for i, row in blank.items():
+        rows[i] = ",".join(row)
+    flat = [None] * (len(rows) * len(cells))
+    for k, values in enumerate(cells):
+        flat[k::len(cells)] = values
+    return ",".join(header) + "\n" + "\n".join([*rows, ""]) % tuple(flat)
 
 
 def spectrum_csv(table) -> str:

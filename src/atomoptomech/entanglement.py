@@ -146,8 +146,11 @@ def _nu(params: SystemParams, delta: np.ndarray) -> np.ndarray:
     One steady state, one set of couplings and one drift stack cover the
     whole grid: the excitation root depends only on (delta_r, gamma_r).
     Without that root no point has a steady state, so every point is
-    unstable, like a point whose covariance comes back NaN.
+    unstable, like a point whose covariance comes back NaN.  The drift's
+    thermal weight is checked first, so a temperature at which it
+    overflows raises OverflowError whether or not the root exists.
     """
+    thermal_factor(params, params.omega_m)
     p = params.replace(delta=delta)
     try:
         ss = fixed_point(p)

@@ -79,31 +79,28 @@ _B = np.array([
     [1, 0, 0, 0, 0, 0],
     [0, 1, 0, 0, 0, 0],
 ])
-# Row signs of the system matrix: its position row is sign-flipped, and the
-# cofactor expressions of transfer_closed_form are written for that row.
-_F = np.array([1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
-# The swap a <-> a+, c <-> c+ of the complex basis.  J is real, conj(B) =
-# P B and F commutes with P, so conj(A(-omega)) = P A(omega) P exactly.
+# The swap a <-> a+, c <-> c+ of the complex basis.  J is real and
+# conj(B) = P B, so conj(A(-omega)) = P A(omega) P exactly.
 _P = [1, 0, 3, 2, 4, 5]
 
 
 def build_matrix(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega
 ) -> np.ndarray:
-    """The 6x6 fluctuation matrix F(-i omega - B J B^H) at angular frequency
+    """The 6x6 fluctuation matrix -i omega - B J B^H at angular frequency
     ``omega``; an array of frequencies gives a stack of shape
     ``omega.shape + (6, 6)``.
 
-    J is the drift of :func:`build_drift`, B the unitary map to the complex
-    basis (intracavity field, its conjugate, collective atomic mode, its
-    conjugate, mirror position, mirror momentum) and F flips the sign of
-    the position row.  Only the frequency diagonal depends on ``omega``.
+    J is the drift of :func:`build_drift` and B the unitary map to the
+    complex basis (intracavity field, its conjugate, collective atomic
+    mode, its conjugate, mirror position, mirror momentum).  Only the
+    frequency diagonal depends on ``omega``.
     """
     w = np.asarray(omega, dtype=float)
     j = build_drift(params, couplings, ss).j
     a = np.empty(w.shape + (6, 6), dtype=np.complex128)
-    a[...] = -_F[:, None] * (_B @ j @ _B.conj().T)
-    a.reshape(w.shape + (36,))[..., ::7] -= 1j * w[..., None] * _F
+    a[...] = -(_B @ j @ _B.conj().T)
+    a.reshape(w.shape + (36,))[..., ::7] -= 1j * w[..., None]
     return a
 
 
@@ -137,21 +134,20 @@ def _inverse_rows(params: SystemParams, couplings: DerivedCouplings, ss: SteadyS
     """Rows 1 and 2 of A(omega)^-1 as the columns of a (6, 2) array, with
     the frequency axis last for an array of frequencies.
 
-    A(omega) = A0 - i omega F, so A(omega)^T = (N - i omega I) F with
-    N = A0^T F, and the rows are F (N - i omega I)^-1 [e1 e2].  N is reduced
-    once, N = G H G^-1 with A0 from :func:`build_matrix`, and each frequency
-    is a shifted Hessenberg solve: F G (H - i omega I)^-1 G^-1 [e1 e2].  The
-    frequencies of an array are solved in one pass and the poles come back
-    as NaN; a single frequency is the one-element array and raises
-    PoleAtOmega at a pole.
+    A(omega) = A0 - i omega, so the rows are (A0^T - i omega I)^-1 [e1 e2].
+    A0^T is reduced once, A0^T = G H G^-1 with A0 from :func:`build_matrix`,
+    and each frequency is a shifted Hessenberg solve:
+    G (H - i omega I)^-1 G^-1 [e1 e2].  The frequencies of an array are
+    solved in one pass and the poles come back as NaN; a single frequency
+    is the one-element array and raises PoleAtOmega at a pole.
     """
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    h, g, g_inv = hessenberg(build_matrix(params, couplings, ss, 0.0).T * _F)
+    h, g, g_inv = hessenberg(build_matrix(params, couplings, ss, 0.0).T)
     y = hessenberg_solve(h, g_inv[:, :2], 1j * w)
-    # x = F G y, each row summed over its nonzero terms in order,
+    # x = G y, each row summed over its nonzero terms in order,
     # elementwise per frequency; G is mostly ones and zeros.
     x = np.empty_like(y)
-    for xi, r in zip(x, _F[:, None] * g):
+    for xi, r in zip(x, g):
         terms = [y[k] if c == 1 else c * y[k] for k, c in enumerate(r) if c]
         xi[...] = functools.reduce(operator.add, terms)
     return _per_point(omega, x)

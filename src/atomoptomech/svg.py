@@ -14,11 +14,10 @@ def _ticks(lo, hi, n=5):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _points(xs, ys):
-    """The "x,y" text of each pixel pair, to 2 decimals, from one ``%``
-    over all of them."""
-    xy = np.column_stack((xs, ys)).ravel().tolist()
-    return ("%.2f,%.2f\n" * len(xs) % tuple(xy)).split("\n")[:-1]
+def _fixed2(values):
+    """The text of each value to 2 decimals, from one ``%`` over all of
+    them."""
+    return ("%.2f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 def line_plot(x, series, labels, xlabel, ylabel, title=""):
@@ -75,10 +74,10 @@ def line_plot(x, series, labels, xlabel, ylabel, title=""):
     if title:
         parts.append(f'<text x="{_W/2:.0f}" y="14" text-anchor="middle">{title}</text>')
 
-    xs = px(x)
+    xs = [t + "," for t in _fixed2(px(x))]
     for k, (ys, mask, label) in enumerate(zip(series, masks, labels)):
         color = _COLORS[k % len(_COLORS)]
-        points = _points(xs, py(ys))
+        points = list(map(str.__add__, xs, _fixed2(py(ys))))
         # Each run of finite points of two or more is one polyline; the
         # edges of the padded mask alternate run starts and run ends.
         edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))

@@ -5,8 +5,8 @@ failures also carry the detail in the assertion message).  Reference
 targets and tolerances are frozen here.
 
 Known state of this build (see README "Verification status"): criteria 1,
-2, 3 and 7 pass, criterion 4's complete-squeezing floor passes, while the
-coupling-ordering clause of criterion 4 and the entanglement-magnitude
+2, 3 and 7 pass, criterion 4's coupling-ordering clause holds, while the
+complete-squeezing floor of criterion 4 and the entanglement-magnitude
 criteria 5 and 6 are NOT met by the model as parameterized; the assertions
 are kept at their stated tolerances rather than loosened to match.
 """

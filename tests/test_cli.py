@@ -13,7 +13,6 @@ import pytest
 import atomoptomech as am
 from atomoptomech import cli
 from atomoptomech import svg as svg_module
-from atomoptomech.params import DEFAULT_WAVELENGTH
 from atomoptomech.svg import line_plot
 
 
@@ -21,6 +20,17 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Each command run small, writing its files (if any) into the working
+# directory.
+RUN_ARGV = {
+    "steady": ["steady"],
+    "spectrum": ["spectrum", "--points", "3", "--out", "s.csv", "--svg", "s.svg"],
+    "entangle": ["entangle", "--points", "3", "--out", "e.csv", "--svg", "e.svg"],
+    "reproduce": ["reproduce", "all", "--points", "3", "--outdir", "out"],
+    "verify": ["verify", "--points", "1"],
+}
 
 
 class TestConfig:
@@ -110,62 +120,79 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:")
 
-    def test_case_preset(self):
+    def test_case_preset(self, tmp_path):
         p = cli.build_params(_Namespace(case="2.5"))
         assert p.delta_r == 2.5 and p.gamma_r == 2.5
+        # a flag overrides the file, --case included
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta_r = 3\ngamma_r = 4\n")
+        p = cli.build_params(_Namespace(config=str(cfg), case="8"))
+        assert p.delta_r == 8.0 and p.gamma_r == 8.0
 
-    def test_wavelength_flag(self):
-        p = cli.build_params(_Namespace(wavelength=780e-9))
-        assert p.omega_c == pytest.approx(2 * math.pi * 299792458.0 / 780e-9)
-
+    # omega_c is the one input for the cavity frequency, so a wavelength
+    # is refused whatever its value, and never reaches a division
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
     def test_bad_wavelength_flag_is_config_error(self, capsys, monkeypatch, value):
         monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-        code, out, err = run_cli(capsys, "steady", "--wavelength", value)
-        assert code == cli.EXIT_CONFIG and out == ""
-        assert err.startswith("config error: wavelength")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["steady", "--wavelength", value])
+        assert exc.value.code == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: unrecognized arguments: --wavelength {value}" in err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("value", ["1e-6", "0", "-1", "inf", "nan"])
     def test_bad_wavelength_in_config_file_is_config_error(self, capsys, tmp_path, value):
         cfg = tmp_path / "wl.cfg"
         cfg.write_text(f"wavelength = {value}\n")
         code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
         assert code == cli.EXIT_CONFIG and out == ""
-        assert err.startswith("config error: wavelength")
+        assert err == f"config error: {cfg}:1: unknown key 'wavelength'\n"
+
+    @pytest.mark.parametrize("command", ["steady", "spectrum", "entangle"])
+    @pytest.mark.parametrize("flag", ["--delta-r", "--gamma-r"])
+    def test_case_refuses_the_fields_it_sets(self, capsys, tmp_path, monkeypatch, command, flag):
+        # --case sets delta_r and gamma_r, so neither flag may be
+        # overwritten by it: a configuration error, and no file written
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *RUN_ARGV[command], "--case", "1", flag, "3")
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == f"config error: --case sets delta_r and gamma_r; drop {flag} or --case\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # The SI flags by argparse dest, which is the SystemParams field each sets.
 SI_FLAGS = (
-    "omega_m", "kappa", "n_atoms", "coupling_G", "delta_r", "gamma_r", "cavity_length",
-    "mirror_mass", "omega_c", "temperature",
+    "omega_m", "kappa", "n_atoms", "delta_r", "gamma_r", "cavity_length", "mirror_mass",
+    "omega_c", "temperature",
 )
 
 
 class TestParamTable:
-    def test_every_field_and_wavelength_is_a_config_key(self, tmp_path):
-        keys = [f.name for f in dataclasses.fields(am.SystemParams)] + ["wavelength"]
+    def test_every_field_is_a_config_key(self, tmp_path):
+        keys = [f.name for f in dataclasses.fields(am.SystemParams)]
         assert {"gamma_a", "gamma_m", "delta"} <= set(keys)
         cfg = tmp_path / "all.cfg"
         cfg.write_text("".join(f"{k} = 0.75\n" for k in keys))
         values = cli.parse_config_file(str(cfg))
         assert sorted(values) == sorted(keys)
         p = cli.build_params(_Namespace(config=str(cfg)))
-        for key in keys:
-            if key not in ("omega_c", "wavelength"):
-                assert getattr(p, key) == 0.75, key
-        assert p.omega_c == 2 * math.pi * 299792458.0 / 0.75
+        assert p == am.SystemParams(**{k: 0.75 for k in keys})
 
     def test_readme_lists_exactly_the_config_keys(self):
-        # the README's "Config files" paragraph names the SystemParams
-        # fields, then "plus `wavelength`"
+        # the first sentence after "fields:" in the README's "Config files"
+        # paragraph names exactly the SystemParams fields
         readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
         with open(readme, encoding="utf-8") as fh:
             text = fh.read()
         paragraph = text.split("### Config files\n\n", 1)[1].split("\n\n", 1)[0]
-        listed, plus, _ = " ".join(paragraph.split()).partition(", plus `wavelength`")
-        assert plus, "no 'plus `wavelength`' in the Config files paragraph"
-        names = re.findall(r"`(\w+)`", listed.split("fields:", 1)[1])
+        listed = " ".join(paragraph.split()).split("fields:", 1)[1].split(".", 1)[0]
+        names = re.findall(r"`(\w+)`", listed)
         assert sorted(names) == sorted(f.name for f in dataclasses.fields(am.SystemParams))
+
+    def test_one_flag_per_field(self):
+        # no field has a second flag that could silently overwrite the first
+        keys = [key for _, key, _, _ in cli.PARAM_FLAGS]
+        assert len(keys) == len(set(keys)) == len(dataclasses.fields(am.SystemParams))
 
     @pytest.mark.parametrize("dest", SI_FLAGS)
     def test_si_flag_sets_its_field(self, dest, monkeypatch):
@@ -192,55 +219,42 @@ class TestParamTable:
         ns = _Namespace(config=str(cfg), **{dest: -1.5})
         assert getattr(cli.build_params(ns), field) == -1.5 * 7.0
 
-    def test_scaled_g_beats_si_coupling_g(self):
-        p = cli.build_params(_Namespace(g=2.0, coupling_G=1e9, kappa=3.0))
-        assert p.coupling_G == 6.0
-
-    def test_wavelength_beats_omega_c_within_a_layer(self, tmp_path):
-        omega_780 = 2 * math.pi * 299792458.0 / 780e-9
-        omega_532 = 2 * math.pi * 299792458.0 / 532e-9
-        ns = _Namespace(omega_c=1e15, wavelength=532e-9)
-        assert cli.build_params(ns).omega_c == omega_532
-        cfg = tmp_path / "both.cfg"
-        cfg.write_text("omega_c = 1e15\nwavelength = 780e-9\n")
-        assert cli.build_params(_Namespace(config=str(cfg))).omega_c == omega_780
-
     def test_a_flag_beats_the_file(self, tmp_path):
-        cfg = tmp_path / "wl.cfg"
-        cfg.write_text("wavelength = 780e-9\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_c = 1e15\n")
+        assert cli.build_params(_Namespace(config=str(cfg))).omega_c == 1e15
         assert cli.build_params(_Namespace(config=str(cfg), omega_c=2e15)).omega_c == 2e15
-        cfg.write_text("omega_c = 2e15\n")
-        ns = _Namespace(config=str(cfg), wavelength=532e-9)
-        assert cli.build_params(ns).omega_c == 2 * math.pi * 299792458.0 / 532e-9
 
 
 # A command takes no flag for a field it sets itself: spectrum sweeps G
 # (its own repeatable --g), entangle sweeps delta, and reproduce sets G,
-# delta, delta_r and gamma_r for every panel.
+# delta, delta_r and gamma_r for every panel.  No command takes a second
+# flag for a field: G is --g in units of kappa, and the cavity frequency is
+# --omega-c.
 REMOVED_FLAGS = [
-    ("spectrum", "--coupling-g", "1e8"),
     ("entangle", "--delta", "0.7"),
     ("reproduce", "--g", "60"),
-    ("reproduce", "--coupling-g", "1e8"),
     ("reproduce", "--delta", "0.5"),
     ("reproduce", "--delta-r", "2"),
     ("reproduce", "--gamma-r", "2"),
     ("reproduce", "--case", "8"),
+] + [
+    (command, flag, value)
+    for command in RUN_ARGV
+    for flag, value in (("--coupling-g", "1e8"), ("--wavelength", "1e-6"))
 ]
 
 
 @pytest.mark.parametrize(
     "command, flag, value", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS]
 )
-def test_removed_flag_exits_2_and_writes_nothing(capsys, tmp_path, command, flag, value):
+def test_removed_flag_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, command, flag,
+                                                  value):
     # the full flag must not be read as a kept flag it prefixes
     # (entangle --delta as --delta-min, say): argparse rejects it
-    if command == "reproduce":
-        argv = [command, "all", "--outdir", str(tmp_path / "out"), "--points", "3"]
-    else:
-        argv = [command, "--points", "3", "--out", str(tmp_path / "x.csv")]
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + [flag, value])
+        cli.main(RUN_ARGV[command] + [flag, value])
     assert exc.value.code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"error: unrecognized arguments: {flag} {value}" in err or (
@@ -323,7 +337,7 @@ def _moved_value(key: str, unit: str) -> str:
     """Twice a parameter flag's default, in the flag's unit, or 1 where the
     default is 0."""
     p = am.SystemParams()
-    default = DEFAULT_WAVELENGTH if key == "wavelength" else getattr(p, key)
+    default = getattr(p, key)
     if unit != "SI":
         default /= getattr(p, unit)
     return repr(2.0 * default or 1.0)
@@ -355,16 +369,10 @@ def test_phonon_number_flag_is_gone(capsys, tmp_path, monkeypatch, command):
     # the bath is set by --temperature alone; the thermal phonon number is
     # worked out from it
     monkeypatch.chdir(tmp_path)
-    argv = {
-        "steady": ["steady"],
-        "spectrum": ["spectrum", "--points", "3", "--out", "s.csv"],
-        "entangle": ["entangle", "--points", "3", "--out", "e.csv"],
-        "reproduce": ["reproduce", "all", "--points", "3", "--outdir", "out"],
-    }[command]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--n-thermal", "3"])
+            cli.main(RUN_ARGV[command] + ["--n-thermal", "3"])
     assert exc.value.code == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and "error: unrecognized arguments: --n-thermal 3" in err
@@ -388,10 +396,14 @@ THERMAL_OVERFLOW = "thermal noise weight overflows at temperature = 1e+300 K"
     "argv, err_line",
     [
         (["entangle", "--out", "e.csv"], f"numeric failure: {THERMAL_OVERFLOW}"),
+        # no excitation root, so no point has a drift: the weight still
+        # fails the run rather than every row reading unstable
+        (["entangle", "--delta-r", "1e200", "--out", "e.csv"],
+         f"numeric failure: {THERMAL_OVERFLOW}"),
         (["reproduce", "fig3"], f"error: fig3 failed: OverflowError: {THERMAL_OVERFLOW}"),
         (["reproduce", "fig4"], f"error: fig4 failed: OverflowError: {THERMAL_OVERFLOW}"),
     ],
-    ids=["entangle", "fig3", "fig4"],
+    ids=["entangle", "entangle-no-root", "fig3", "fig4"],
 )
 def test_overflowing_thermal_weight_fails_the_drift_too(capsys, tmp_path, monkeypatch, argv,
                                                         err_line):
@@ -669,8 +681,8 @@ def test_overflowing_backaction_shift_is_a_numeric_failure(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            capsys, "entangle", "--case", "8", "--n-atoms", "1", "--coupling-g", "1e160",
-            "--points", "3",
+            capsys, "entangle", "--case", "8", "--n-atoms", "1",
+            "--g", repr(1e160 / am.SystemParams().kappa), "--points", "3",
         )
     assert code == cli.EXIT_NUMERIC
     assert err.startswith("numeric failure: cavity backaction K overflows at coupling_G")
@@ -707,9 +719,9 @@ def _csv_per_cell(header, columns):
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _points_per_point(xs, ys):
-    # the plot's point text as it was, one Python format per point
-    return ["%.2f,%.2f" % xy for xy in zip(xs.tolist(), ys.tolist())]
+def _fixed2_per_value(values):
+    # the plot's pixel text as it was, one Python format per value
+    return ["%.2f" % v for v in values.tolist()]
 
 
 class TestCsv:
@@ -790,7 +802,7 @@ class TestLinePlot:
     def test_equals_the_per_point_reference(self, monkeypatch, x, series):
         labels = [f"y{k}" for k in range(len(series))]
         svg = line_plot(x, series, labels, "x", "y")
-        monkeypatch.setattr(svg_module, "_points", _points_per_point)
+        monkeypatch.setattr(svg_module, "_fixed2", _fixed2_per_value)
         assert svg == line_plot(x, series, labels, "x", "y")
 
 

@@ -62,7 +62,7 @@ class TestBuildMatrix:
     def test_every_entry(self, default_params, case, g):
         # each entry of the Langevin equations in the complex basis, written
         # out from the couplings; the matrix is built from the drift, so a
-        # slip in the basis map or the row signs shows here
+        # slip in the basis map or the signs shows here
         p = default_params.with_case(case, case).replace(coupling_G=g * default_params.kappa)
         ss = am.fixed_point(p)
         cpl = am.derive_couplings(p, ss)
@@ -80,7 +80,7 @@ class TestBuildMatrix:
             want[2] = [1j * g2, -1j * g3, p.gamma_a + 1j * (da - wk), -1j * g1, 0, 0]
             want[3] = [1j * np.conj(g3), -1j * np.conj(g2), 1j * np.conj(g1),
                        p.gamma_a - 1j * (da + wk), 0, 0]
-            want[4] = [0, 0, 0, 0, 1j * wk, wm]
+            want[4] = [0, 0, 0, 0, -1j * wk, -wm]
             want[5] = [-np.conj(g0cs), -g0cs, 0, 0, wm, gm - 1j * wk]
             assert np.all((fm[k] == 0) == (want == 0))
             assert np.max(np.abs(fm[k] - want)) <= 1e-15 * np.max(np.abs(want))
