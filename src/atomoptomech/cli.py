@@ -248,21 +248,30 @@ def cmd_steady(args) -> int:
     return EXIT_OK
 
 
+def _grid(args, axis: str, omega_m: float) -> np.ndarray:
+    """The sweep grid of ``--{axis}-min/max`` [omega_m] and ``--points`` in
+    rad/s; a config error, naming the flags, where it is not finite."""
+    lo, hi = getattr(args, axis + "_min"), getattr(args, axis + "_max")
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, args.points) * omega_m
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"--{axis}-min {lo:g} to --{axis}-max {hi:g} [omega_m] is not "
+                          f"finite in rad/s at omega_m = {omega_m:.6g} rad/s")
+    return grid
+
+
 def cmd_spectrum(args) -> int:
     params = _run_config(args, args.out, args.svg)
     couplings = tuple(args.couplings or PANEL_COUPLINGS)
     for g in couplings:  # the sweep sets coupling_G per column
         validate(params.replace(coupling_G=g * params.kappa))
-    grid = np.linspace(args.omega_min, args.omega_max, args.points) * params.omega_m
-    table = spectrum_sweep(params, couplings, grid)
+    table = spectrum_sweep(params, couplings, _grid(args, "omega", params.omega_m))
     return _emit(args, spectrum_csv(table), lambda: _spectrum_svg(table))
 
 
 def cmd_entangle(args) -> int:
     params = _run_config(args, args.out, args.svg)
-    table = detuning_sweep(
-        params, np.linspace(args.delta_min, args.delta_max, args.points) * params.omega_m
-    )
+    table = detuning_sweep(params, _grid(args, "delta", params.omega_m))
     return _emit(
         args,
         entangle_csv(table),

@@ -2,10 +2,10 @@
 
 The linearized dynamics in the quadrature basis (mirror position/momentum,
 cavity amplitude/phase, atomic amplitude/phase) give a real 6x6 drift
-matrix; when it is Hurwitz stable the stationary covariance solves the
-Lyapunov equation, and the logarithmic negativity of the mirror-cavity
-bipartition follows from the smallest symplectic eigenvalue of the
-partially transposed reduced covariance.
+matrix; when it is Hurwitz stable (``numerics.hurwitz_flags``) the
+stationary covariance solves the Lyapunov equation, and the logarithmic
+negativity of the mirror-cavity bipartition follows from the smallest
+symplectic eigenvalue of the partially transposed reduced covariance.
 
 A sweep gives an :class:`EntanglementTable` of arrays with NaN at the
 unstable points, as the spectrum sweep has NaN at its poles; a single point
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import char_poly, lyapunov_solve, routh_hurwitz_stable, symplectic_nu
+from .numerics import lyapunov_solve, symplectic_nu
 from .params import DerivedCouplings, SystemParams, derive_couplings, thermal_factor
 from .steadystate import NoRoot, SteadyState, fixed_point
 
@@ -98,22 +98,11 @@ def build_drift(
     return DriftSystem(j=j, d=d)
 
 
-def is_stable(ds: DriftSystem) -> bool:
-    """Routh-Hurwitz verdict on the drift matrix (scaled to O(1) entries)."""
-    scale = np.max(np.abs(ds.j))
-    if scale == 0.0:
-        return False
-    return routh_hurwitz_stable(char_poly(ds.j / scale))
-
-
 def steady_covariance(ds: DriftSystem) -> np.ndarray:
     """Stationary covariance from the Lyapunov equation, for one drift or a
     stack of them; a drift that is not Hurwitz gives NaN, alone or in a
     stack."""
-    scale = np.max(np.abs(ds.j), axis=(-2, -1), keepdims=True)
-    # Solve in scaled time so the 21x21 half-vectorized system is well
-    # conditioned; the covariance is invariant under (j, d) -> (j/s, d/s).
-    return lyapunov_solve(ds.j / scale, ds.d / scale)
+    return lyapunov_solve(ds.j, ds.d)
 
 
 def _e_n(nu):

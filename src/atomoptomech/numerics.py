@@ -4,8 +4,8 @@ A batched pivoted LU, :func:`lu_solve`, solves a stack of systems held
 batch-last, each against one right-hand side, so each of its pivot steps
 is a few NumPy operations over contiguous rows of the batch, taken a row
 slab at a time so that no temporary is as large as the stack.  It serves
-the Lyapunov solve, which runs Routh-Hurwitz stability on
-Faddeev-LeVerrier characteristic polynomials and then solves the 21x21
+the Lyapunov solve, which takes its stability from :func:`hurwitz_flags`
+(Routh-Hurwitz in scaled time) and then solves the 21x21
 half-vectorized systems of the symmetric covariance's independent
 entries, all stable systems of a stack in one call.  The spectrum
 solves one fixed matrix at many frequency shifts: a reduction to
@@ -42,11 +42,9 @@ def lu_solve(a, b):
 
     The batch is the last axis: ``a`` is (n, n, batch) and ``b`` is
     (n, batch), both C-contiguous scratch copies owned by the caller, so
-    each pivot step runs over contiguous rows of the batch.  Returns
-    ``(x, min_pivot, max_norm)``: x is ``b`` itself, and the other two are
-    per system; the caller decides what pivot magnitude counts as
-    singular.  A system whose pivot is exactly zero gets min_pivot = 0 and
-    a garbage x.
+    each pivot step runs over contiguous rows of the batch.  Returns x,
+    which is ``b`` itself.  A system whose smallest pivot is at most
+    ``PIVOT_TOL * ||a||_inf`` is singular and comes back NaN in x.
 
     The norm and the rank-one updates run over row slabs (see ``_slab``),
     so no temporary is as large as ``a``: the peak memory of a call is the
@@ -95,7 +93,8 @@ def lu_solve(a, b):
             terms = a[i, i + 1 :] * b[i + 1 :]
             s = np.subtract.reduce(np.concatenate((b[i, None], terms)), axis=0)
             b[i] = s / a[i, i]
-    return b, min_pivot, anorm
+    b[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
+    return b
 
 
 def hessenberg(a):
@@ -251,14 +250,13 @@ def char_poly(j):
 
 def routh_hurwitz_stable(coeffs):
     """True iff all polynomial roots lie strictly in the left half-plane."""
-    stable, _ = routh_hurwitz_flags(coeffs)
-    return stable
+    return routh_hurwitz_flags(coeffs)[0]
 
 
 def routh_hurwitz_flags(coeffs):
     """Routh array sign test: the (stable, marginal) verdict of a monic
     polynomial.  One coefficient vector gives a bool pair, a stack
-    (batch, n + 1) of them two bool arrays.
+    (..., n + 1) of them two bool arrays of its shape (...).
 
     A vanishing first-column entry (exactly zero, or at rounding level
     relative to the array scale) is replaced by eps = 1e-30 and flags the
@@ -294,7 +292,20 @@ def routh_hurwitz_flags(coeffs):
     stable = np.all(first[:, :1] * first > 0.0, axis=1) & ~marginal
     if coeffs.ndim == 1:
         return bool(stable[0]), bool(marginal[0])
-    return stable, marginal
+    return stable.reshape(coeffs.shape[:-1]), marginal.reshape(coeffs.shape[:-1])
+
+
+def _drift_scale(j):
+    """Largest |entry| of each drift, axes kept; 1 for a zero drift."""
+    scale = np.abs(j).max(axis=(-2, -1), keepdims=True)
+    return np.where(scale > 0.0, scale, 1.0)
+
+
+def hurwitz_flags(j):
+    """:func:`routh_hurwitz_flags` of a real drift, a bool pair, or of each
+    drift of a stack (..., n, n), two bool arrays, in scaled time (divided
+    by its largest |entry|).  A zero drift is marginal and not stable."""
+    return routh_hurwitz_flags(char_poly(j / _drift_scale(j)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,22 +338,22 @@ def lyapunov_solve(j, d):
     """Solve ``j v + v j^T = -d`` for the symmetric steady covariance.
 
     ``j`` and ``d`` are n x n, or stacks (batch, n, n); ``d`` is symmetric
-    and its upper triangle is read.  Each system gets one Routh-Hurwitz
-    verdict; the stable ones are half-vectorized into n(n + 1)/2-square
-    real systems for the independent entries of v, assembled a row slab at
-    a time and solved in one :func:`lu_solve` call, so v comes back exactly
-    symmetric.  ``j`` and ``d`` are only read, so they are not copied.  A
-    drift that is not Hurwitz stable, or whose system has a vanishing
-    pivot, gives a v of NaN, alone or in a stack.
+    and its upper triangle is read.  Each system gets the verdict of
+    :func:`hurwitz_flags`, and the stable ones, in its scaled time, are
+    half-vectorized into n(n + 1)/2-square real systems for the independent
+    entries of v, assembled a row slab at a time and solved in one
+    :func:`lu_solve` call, so v comes back exactly symmetric.  ``j`` and
+    ``d`` are only read.  A drift that is not Hurwitz stable, or whose
+    system has a vanishing pivot, gives a v of NaN, alone or in a stack.
     """
     j = np.asarray(j, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     n = j.shape[-1]
-    js, ds = j.reshape(-1, n, n), d.reshape(-1, n, n)
-    stable, _ = routh_hurwitz_flags(char_poly(js))
+    scale = _drift_scale(j)
+    js, ds = (j / scale).reshape(-1, n, n), (d / scale).reshape(-1, n, n)
+    rows = np.flatnonzero(hurwitz_flags(j)[0])
     src, iu, full = _half_vec_maps(n)
     v = np.full(js.shape, np.nan)
-    rows = np.flatnonzero(stable)
     if len(rows):
         jp = np.zeros((n * n + 1, len(rows)))
         jp[:-1] = js[rows].reshape(-1, n * n).T
@@ -351,28 +362,13 @@ def lyapunov_solve(j, d):
         for i in range(0, len(a), step):
             a[i : i + step] += jp[src[1, i : i + step]]
         del jp
-        x, min_pivot, anorm = lu_solve(a, -ds[rows].transpose(1, 2, 0)[iu])
-        x[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
+        x = lu_solve(a, -ds[rows].transpose(1, 2, 0)[iu])
         v[rows] = np.moveaxis(x[full], -1, 0)
     return v.reshape(j.shape)
 
 
 def _det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def _det4(m):
-    out = 0.0
-    # Laplace expansion along the first row; fine at this size.
-    for c in range(4):
-        s = m[..., 1:, [k for k in range(4) if k != c]]
-        det3 = (
-            s[..., 0, 0] * (s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1])
-            - s[..., 0, 1] * (s[..., 1, 0] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 0])
-            + s[..., 0, 2] * (s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0])
-        )
-        out += (-1) ** c * m[..., 0, c] * det3
-    return out
 
 
 def symplectic_nu(v4):
@@ -395,8 +391,17 @@ def symplectic_nu(v4):
     b = _det2(v4[..., 2:, 2:])
     c = _det2(v4[..., :2, 2:])
     sigma = a + b - 2.0 * c
-    rad = sigma * sigma - 4.0 * _det4(v4)
-    inner = sigma - np.sqrt(np.maximum(rad, 0.0))
-    nu = np.sqrt(np.maximum(inner, 0.0) / 2.0)
-    # nu = 0 is no physical state either: it would give E_N = inf.
-    return np.where((rad < -1e-9) | (inner <= 0.0), np.nan, nu * s)[()]
+    # det v = det(a B - C^T adj(A) C) / a, the Schur complement of the first
+    # mode's block A (C is the cross block): with one mode far hotter than
+    # the other it keeps the digits that a cofactor expansion loses
+    cross = v4[..., :2, 2:]
+    adj = v4[..., [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
+    schur = a[..., None, None] * v4[..., 2:, 2:] - np.swapaxes(cross, -1, -2) @ adj @ cross
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = _det2(schur) / a
+        rad = sigma * sigma - 4.0 * det
+        # nu^2 = (sigma - sqrt(rad)) / 2, in a form that does not cancel
+        # when the two symplectic eigenvalues are far apart
+        nu = np.sqrt(2.0 * det / (sigma + np.sqrt(np.maximum(rad, 0.0))))
+    # det <= 0 or sigma <= 0 is no physical state; nu = 0 would give E_N = inf.
+    return np.where((rad < -1e-9) | (det <= 0.0) | (sigma <= 0.0), np.nan, nu * s)[()]

@@ -13,8 +13,8 @@ from dataclasses import astuple
 import numpy as np
 
 from . import spectrum as spec_mod
-from .entanglement import DriftSystem, build_drift, is_stable, steady_covariance
-from .numerics import symplectic_nu
+from .entanglement import DriftSystem, build_drift, steady_covariance
+from .numerics import hurwitz_flags, symplectic_nu
 from .params import SystemParams, derive_couplings
 from .spectrum import output_spectrum, transfer_pair
 from .steadystate import excitation_equation, fixed_point, solve_beta
@@ -69,7 +69,7 @@ def random_stable_operating_point(rng):
         )
         ss = fixed_point(p)
         cpl = derive_couplings(p, ss)
-        if is_stable(build_drift(p, cpl, ss)):
+        if hurwitz_flags(build_drift(p, cpl, ss).j)[0]:
             return p, ss, cpl
 
 

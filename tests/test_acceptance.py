@@ -18,7 +18,6 @@ import pytest
 from conftest import eig_stable, random_covariance, symplectic_nu_oracle, symplectic_spectrum
 
 import atomoptomech as am
-from atomoptomech.entanglement import is_stable
 from atomoptomech.selfcheck import random_stable_operating_point
 
 

@@ -664,6 +664,20 @@ def test_bad_grid_flag_is_rejected_when_parsed(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, axis", [("spectrum", "omega"), ("entangle", "delta")])
+def test_grid_overflowing_in_rad_per_s_is_a_config_error(capsys, tmp_path, command, axis):
+    # finite bounds, but bound x omega_m overflows: a config error naming
+    # the flags, with no warning and no file written
+    out_path = tmp_path / "out.csv"
+    argv = [command, f"--{axis}-min", "1e300", f"--{axis}-max", "1e300", "--points", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: --{axis}-min 1e+300 to --{axis}-max 1e+300 ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, header",
     [("spectrum", "omega_over_omega_m,s_out_g25,s_out_g50,s_out_g75,s_out_g100"),

@@ -6,7 +6,7 @@ import pytest
 from conftest import eig_stable, symplectic_nu_oracle, symplectic_spectrum
 
 import atomoptomech as am
-from atomoptomech.entanglement import is_stable
+from atomoptomech.numerics import hurwitz_flags
 from atomoptomech.params import HBAR, K_BOLTZMANN, DerivedCouplings
 from atomoptomech.steadystate import SteadyState
 
@@ -68,7 +68,7 @@ class TestBuildDrift:
         p = default_params.replace(delta=1.22 * default_params.omega_m)
         ss = am.fixed_point(p)
         ds = am.build_drift(p, am.derive_couplings(p, ss), ss)
-        assert is_stable(ds)
+        assert hurwitz_flags(ds.j)[0]
         assert eig_stable(ds.j)
 
     def test_routh_matches_eig_over_sweep(self, default_params):
@@ -77,7 +77,7 @@ class TestBuildDrift:
             pp = p.replace(delta=rel * p.omega_m)
             ss = am.fixed_point(pp)
             ds = am.build_drift(pp, am.derive_couplings(pp, ss), ss)
-            assert is_stable(ds) == eig_stable(ds.j)
+            assert hurwitz_flags(ds.j)[0] == eig_stable(ds.j)
 
     def test_array_delta_matches_scalar_builds(self, default_params):
         # one build over the fig3b case-8 grid against a build per detuning;
@@ -325,6 +325,27 @@ class TestDetuningSweep:
         np.testing.assert_array_equal(table.stable, np.isfinite(want))
         assert 0 < np.sum(table.stable) < len(grid)
         np.testing.assert_allclose(table.nu, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("temperature", [10.0, 300.0, 1e100])
+    def test_hot_mirror_nu_matches_eigen_oracle(self, default_params, temperature):
+        # a hot mirror pulls the two symplectic eigenvalues far apart; nu
+        # must not cancel: the eigenvalue oracle at 1e-9 on the stable rows
+        # of case 1 at 25 kappa and case 8 at 100 kappa, and a row is
+        # stable exactly where its drift is Hurwitz
+        grid = np.linspace(0.0, 3.0, 500) * default_params.omega_m
+        case1 = default_params.replace(coupling_G=25 * default_params.kappa)
+        case8, _ = _fig3b_case8(default_params)
+        for p in (case1, case8):
+            p = p.replace(temperature=temperature)
+            table = am.detuning_sweep(p, grid)
+            pa = p.replace(delta=grid)
+            ss = am.fixed_point(pa)
+            ds = am.build_drift(pa, am.derive_couplings(pa, ss), ss)
+            np.testing.assert_array_equal(table.stable, hurwitz_flags(ds.j)[0])
+            v = am.steady_covariance(ds)
+            for nu, v4 in zip(table.nu[table.stable], v[table.stable, :4, :4]):
+                want = symplectic_nu_oracle(v4)
+                assert abs(nu - want) <= 1e-9 * want, (temperature, nu, want)
 
     def test_entanglement_dies_at_large_detuning(self, default_params):
         p = default_params

@@ -6,8 +6,7 @@ from conftest import eig_stable, poly_from_eigs, random_covariance, symplectic_n
 
 import atomoptomech as am
 from atomoptomech import numerics
-from atomoptomech.entanglement import is_stable
-from atomoptomech.numerics import PIVOT_TOL, lu_solve
+from atomoptomech.numerics import PIVOT_TOL, hurwitz_flags, lu_solve
 from atomoptomech.steadystate import _quartic_roots
 
 
@@ -19,26 +18,27 @@ def _batch_last(a, b):
 
 class TestSolveComplex:
     """Complex and real systems solved by the batched LU, :func:`lu_solve`,
-    in its one layout: a (n, n, batch) and b (n, batch).  Two tests go
-    through its one caller, the Lyapunov solve, which passes real stacks."""
+    in its one layout: a (n, n, batch) and b (n, batch).  A system whose
+    smallest pivot is at most PIVOT_TOL times its row-sum norm comes back
+    NaN.  Two tests go through its one caller, the Lyapunov solve, which
+    passes real stacks."""
 
     def test_identity(self):
         e3 = np.zeros((6, 1), dtype=complex)
         e3[2] = 1.0
-        x, min_pivot, anorm = lu_solve(np.eye(6, dtype=complex)[..., None].copy(), e3.copy())
+        x = lu_solve(np.eye(6, dtype=complex)[..., None].copy(), e3.copy())
         assert np.array_equal(x, e3)
-        assert min_pivot.tolist() == [1.0] and anorm.tolist() == [1.0]
 
     def test_diagonal(self):
         a = np.diag([2j] * 6)[..., None].copy()
-        x, _, _ = lu_solve(a, np.ones((6, 1), dtype=complex))
+        x = lu_solve(a, np.ones((6, 1), dtype=complex))
         np.testing.assert_allclose(x[:, 0], np.ones(6) / 2j, rtol=1e-14)
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(50, 6, 6)) + 1j * rng.normal(size=(50, 6, 6))
         b = rng.normal(size=(50, 6)) + 1j * rng.normal(size=(50, 6))
-        x, _, _ = lu_solve(*_batch_last(a, b))
+        x = lu_solve(*_batch_last(a, b))
         for k in range(50):
             anorm = np.max(np.abs(a[k]).sum(axis=1))
             xnorm = np.max(np.abs(x[:, k]))
@@ -47,26 +47,30 @@ class TestSolveComplex:
             assert res <= 1e-10 * (anorm * xnorm + bnorm)
 
     def test_singular_is_nan(self):
-        # a pivot that is exactly zero is reported as zero, whatever the
-        # elimination after it leaves in x
+        # a pivot that is exactly zero makes the system NaN in every entry,
+        # with no warning, whatever the elimination after it leaves in x
         a = np.zeros((6, 6, 1), dtype=complex)
         a[0, 0] = 1.0
-        x, min_pivot, anorm = lu_solve(a, np.ones((6, 1), dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = lu_solve(a, np.ones((6, 1), dtype=complex))
         assert x.shape == (6, 1)
-        assert min_pivot.tolist() == [0.0] and anorm.tolist() == [1.0]
+        assert np.isnan(x).all()
 
     @pytest.mark.parametrize("eps", [5e-15, 2e-14])
     def test_pivot_threshold_each_side(self, eps):
         # diag(1, eps) has row-sum norm 1, so its last pivot eps lies on
-        # either side of PIVOT_TOL * ||a||_inf = 1e-14; the identity next to
-        # it in the stack is untouched
+        # either side of PIVOT_TOL * ||a||_inf = 1e-14: NaN at or below it,
+        # the solution above it; the identity next to it in the stack is
+        # untouched
         a = np.stack([np.eye(2), np.diag([1.0, eps])]).astype(complex)
         b = np.ones((2, 2), dtype=complex)
-        x, min_pivot, anorm = lu_solve(*_batch_last(a, b))
-        assert min_pivot.tolist() == [1.0, eps] and anorm.tolist() == [1.0, 1.0]
-        assert (min_pivot <= PIVOT_TOL * anorm).tolist() == [False, eps <= PIVOT_TOL]
+        x = lu_solve(*_batch_last(a, b))
         np.testing.assert_array_equal(x[:, 0], [1.0, 1.0])
-        np.testing.assert_allclose(x[:, 1], [1.0, 1.0 / eps], rtol=1e-15)
+        if eps <= PIVOT_TOL:
+            assert np.isnan(x[:, 1]).all()
+        else:
+            np.testing.assert_allclose(x[:, 1], [1.0, 1.0 / eps], rtol=1e-15)
 
     def test_stack_matches_oracle_and_flags_singular(self):
         # one batched pass over a stack against a per-system oracle; the
@@ -76,11 +80,10 @@ class TestSolveComplex:
         a = rng.normal(size=(9, 6, 6)) + 1j * rng.normal(size=(9, 6, 6))
         b = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
         a[4, :, 2] = 0.0
-        x, min_pivot, anorm = lu_solve(*_batch_last(a, b))
+        x = lu_solve(*_batch_last(a, b))
         assert x.shape == (6, 9)
-        flagged = min_pivot <= PIVOT_TOL * anorm
-        assert flagged.tolist() == [False] * 4 + [True] + [False] * 4
-        assert min_pivot[4] == 0.0
+        assert np.isnan(x).any(axis=0).tolist() == [False] * 4 + [True] + [False] * 4
+        assert np.isnan(x[:, 4]).all()
         for k in (0, 1, 2, 3, 5, 6, 7, 8):
             want = np.linalg.solve(a[k], b[k])
             assert np.max(np.abs(x[:, k] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -89,26 +92,35 @@ class TestSolveComplex:
     @pytest.mark.parametrize("batch", [0, 1, 7, 300])
     def test_anorm_is_the_whole_stack_row_sum(self, dtype, batch):
         # lu_solve takes the norm a row slab at a time (three rows at
-        # batch 7, one row at batch 300); it must equal the reduction over
-        # the whole stack
+        # batch 7, one row at batch 300); its singular threshold must use
+        # the largest row sum of the whole system.  Upper triangular systems
+        # factor with their diagonal as pivots.  In each, row 10 alone has
+        # row sum 4 (the others stay below 2), and the last pivot is 3e-14
+        # in every other system, which is singular (<= 4e-14), and 5e-14 in
+        # the rest, which is not; a norm that missed row 10 would flag none
         rng = np.random.default_rng(batch)
-        a = rng.normal(size=(21, 21, batch)).astype(dtype)
-        b = rng.normal(size=(21, batch)).astype(dtype)
+        a = np.triu(rng.uniform(0.0, 1.0 / 21, size=(batch, 21, 21)), 1) + np.eye(21)
+        a[:, 10, 11:] = 0.0
+        a[:, 10, 11] = 3.0
+        singular = np.arange(batch) % 2 == 0
+        a[:, 20, 20] = np.where(singular, 3e-14, 5e-14)
+        b = rng.normal(size=(batch, 21))
         if dtype is complex:
-            a += 1j * rng.normal(size=a.shape)
-        want = np.abs(a).sum(axis=1).max(axis=0)
-        _, _, anorm = lu_solve(a, b)
-        assert anorm.shape == (batch,)
-        assert np.array_equal(anorm, want)
+            # a phase per system leaves every modulus as it is
+            a = a * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=batch))[:, None, None]
+        x = lu_solve(*_batch_last(a.astype(dtype), b.astype(dtype)))
+        assert x.shape == (21, batch)
+        assert np.isnan(x).all(axis=0).tolist() == singular.tolist()
+        assert np.isfinite(x[:, ~singular]).all()
 
     def test_row_swaps_keep_small_pivots_out(self):
         # a zero and a 1e-20 leading entry: without a row swap the first
         # gives NaN and the second loses x[0] to cancellation
         a = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1e-20, 1.0], [1.0, 1.0]]], dtype=complex)
         b = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
-        x, _, _ = lu_solve(*_batch_last(a, b))
+        x = lu_solve(*_batch_last(a, b))
         np.testing.assert_allclose(x.T, [[2.0, 1.0], [1.0, 1.0]], rtol=1e-15)
-        x, _, _ = lu_solve(*_batch_last(a[1:], b[1:]))
+        x = lu_solve(*_batch_last(a[1:], b[1:]))
         np.testing.assert_allclose(x[:, 0], [1.0, 1.0], rtol=1e-15)
 
     def test_caller_arrays_unchanged(self):
@@ -141,10 +153,9 @@ class TestSolveComplex:
         stack = lu_solve(*_batch_last(a, b))
         for k in range(64):
             one = lu_solve(*_batch_last(a[k : k + 1], b[k : k + 1]))
-            for got, want in zip(one, stack):
-                assert np.array_equal(got[..., 0], want[..., k])
-        x, min_pivot, anorm = lu_solve(np.zeros((6, 6, 0), complex), np.zeros((6, 0), complex))
-        assert x.shape == (6, 0) and min_pivot.shape == anorm.shape == (0,)
+            assert np.array_equal(one[:, 0], stack[:, k])
+        x = lu_solve(np.zeros((6, 6, 0), complex), np.zeros((6, 0), complex))
+        assert x.shape == (6, 0)
 
     def test_singular_system_is_nan_in_every_column(self, monkeypatch):
         # A pivot flagged by lu_solve makes its system's column of the
@@ -165,7 +176,7 @@ class TestSolveComplex:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(20, 6, 6)) + 1j * rng.normal(size=(20, 6, 6))
         x_true = rng.normal(size=(20, 6)) + 1j * rng.normal(size=(20, 6))
-        x, _, _ = lu_solve(*_batch_last(a, np.einsum("kij,kj->ki", a, x_true)))
+        x = lu_solve(*_batch_last(a, np.einsum("kij,kj->ki", a, x_true)))
         np.testing.assert_allclose(x.T, x_true, rtol=1e-9)
 
 
@@ -380,6 +391,79 @@ class TestRouthHurwitz:
             n_checked += 1
 
 
+def _verdict_drifts(rng):
+    """Drifts of every verdict, each also scaled by 2^500 and by 2^-500:
+    20 unstable and 20 stable random ones, in turn, an imaginary-axis pair
+    (marginal) and a zero drift."""
+    js = rng.normal(size=(40, 6, 6))
+    margin = rng.uniform(0.05, 1.0, size=40) * np.where(np.arange(40) % 2, 1.0, -1.0)
+    for j, m in zip(js, margin):
+        j -= (np.max(np.linalg.eigvals(j).real) + m) * np.eye(6)
+    pair = -np.eye(6)
+    pair[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    base = np.concatenate((js, [pair, np.zeros((6, 6))]))
+    return np.concatenate([base * 2.0**k for k in (0, 500, -500)])
+
+
+class TestHurwitzFlags:
+    def test_stack_matches_single_calls_and_eigenvalue_signs(self):
+        # one call over a stack gives each drift's own verdict, the
+        # eigenvalue sign outside a 1e-9 margin of the largest |entry|,
+        # marginal inside it; a zero drift is unstable and marginal, and
+        # no scale of 2^+-500 moves a verdict or raises a warning
+        js = _verdict_drifts(np.random.default_rng(53))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable, marginal = hurwitz_flags(js)
+            singles = [hurwitz_flags(j) for j in js]
+        assert stable.dtype == bool and marginal.dtype == bool
+        assert list(zip(stable.tolist(), marginal.tolist())) == singles
+        assert all(type(f) is bool for pair in singles for f in pair)
+        for j, st, mg in zip(js, stable, marginal):
+            top = np.max(np.linalg.eigvals(j).real)
+            if abs(top) > 1e-9 * max(np.max(np.abs(j)), 1e-300):
+                assert (st, mg) == (eig_stable(j), False)
+            else:
+                assert (st, mg) == (False, True)
+        thirds = np.split(stable, 3), np.split(marginal, 3)
+        for flags in thirds:
+            assert np.array_equal(flags[0], flags[1]) and np.array_equal(flags[0], flags[2])
+        assert stable[:40].tolist() == [k % 2 == 1 for k in range(40)]
+        assert marginal[40:42].tolist() == [True, True]
+        # a stack with two batch axes gives flags of its batch shape
+        grid = hurwitz_flags(js.reshape(3, 42, 6, 6))
+        assert [f.shape for f in grid] == [(3, 42), (3, 42)]
+        assert np.array_equal(grid[0].ravel(), stable) and np.array_equal(grid[1].ravel(), marginal)
+
+    def test_lyapunov_nan_rows_are_the_unstable_or_singular_ones(self):
+        # v is NaN exactly where hurwitz_flags says unstable or the pivot
+        # test flags the system (row 5: stable, with a pivot at rounding
+        # level); the solve runs in the verdict's scaled time, so (j, d)
+        # scaled by 2^+-500, or divided by each drift's largest |entry|,
+        # gives the same v bit for bit, with no warning
+        rng = np.random.default_rng(59)
+        js = _verdict_drifts(rng)
+        pivot = np.diag([-1.0] * 5 + [-1e-16])
+        assert hurwitz_flags(pivot) == (True, False)
+        js[[5, 47, 89]] = [pivot, pivot * 2.0**500, pivot * 2.0**-500]
+        d_half = rng.normal(size=(42, 6, 6))
+        ds = np.concatenate([d_half @ np.swapaxes(d_half, 1, 2) * 2.0**k for k in (0, 500, -500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = am.lyapunov_solve(js, ds)
+        flagged = np.zeros(len(js), dtype=bool)
+        flagged[[5, 47, 89]] = True
+        nan_rows = np.isnan(v).all(axis=(1, 2))
+        assert nan_rows.tolist() == (~hurwitz_flags(js)[0] | flagged).tolist()
+        assert np.isfinite(v[~nan_rows]).all()
+        assert np.array_equal(v[:42], v[42:84], equal_nan=True)
+        assert np.array_equal(v[:42], v[84:], equal_nan=True)
+        scale = np.abs(js[:42]).max(axis=(1, 2), keepdims=True)
+        scale[scale == 0.0] = 1.0
+        unit = am.lyapunov_solve(js[:42] / scale, ds[:42] / scale)
+        assert np.array_equal(v[:42], unit, equal_nan=True)
+
+
 class TestLyapunov:
     def test_identity_case(self):
         v = am.lyapunov_solve(-np.eye(6), 2.0 * np.eye(6))
@@ -409,12 +493,12 @@ class TestLyapunov:
 
     def test_imaginary_axis_pair_is_unstable(self):
         # a rotation block puts eigenvalues +-i on the imaginary axis: the
-        # drift is not Hurwitz, so it fails is_stable and the solve, alone
-        # or in a stack
+        # drift is not Hurwitz but marginal, so it fails the verdict and the
+        # solve, alone or in a stack
         j = -np.eye(6)
         j[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
         d = np.eye(6)
-        assert not is_stable(am.DriftSystem(j=j, d=d))
+        assert hurwitz_flags(j) == (False, True)
         assert np.all(np.isnan(am.lyapunov_solve(j, d)))
         v = am.lyapunov_solve(np.stack([-np.eye(6), j]), np.stack([d, d]))
         assert np.array_equal(v[0], 0.5 * np.eye(6))
