@@ -41,7 +41,6 @@ from .spectrum import (
     transfer_direct,
 )
 from .steadystate import (
-    NoRoot,
     SteadyState,
     excitation_equation,
     fixed_point,
@@ -80,6 +79,5 @@ __all__ = [
     "routh_hurwitz_flags",
     "lyapunov_solve",
     "symplectic_nu",
-    "NoRoot",
     "PoleAtOmega",
 ]

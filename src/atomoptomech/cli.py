@@ -24,7 +24,7 @@ import numpy as np
 from .entanglement import detuning_sweep
 from .params import SystemParams, validate
 from .spectrum import PoleAtOmega, spectrum_sweep
-from .steadystate import NoRoot, fixed_point
+from .steadystate import fixed_point
 
 # Imported with the CLI, not on use like selfcheck and json: perfbench's
 # tracer wraps only functions of modules loaded when the CLI module is, and
@@ -37,10 +37,11 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
 
-# What a command can raise on valid input: no excitation root, a pole at a
-# verify spot check's frequency, or an overflow: a Python-float power, or a
-# steady-state quantity or coupling that params.check_finite names.
-_NUMERIC_ERRORS = (NoRoot, PoleAtOmega, OverflowError)
+# What a command can raise on valid input: a pole at a verify spot check's
+# frequency, or an overflow: a Python-float power, an excitation root out of
+# floating-point reach, or a steady-state quantity or coupling that
+# params.check_finite names.
+_NUMERIC_ERRORS = (PoleAtOmega, OverflowError)
 
 CASE_PRESETS = {"1": (1.0, 1.0), "2.5": (2.5, 2.5), "8": (8.0, 8.0)}
 # The couplings of a spectrum panel [units of kappa]: fig2's, and the

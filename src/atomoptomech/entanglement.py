@@ -23,7 +23,7 @@ import numpy as np
 
 from .numerics import lyapunov_solve, symplectic_nu
 from .params import DerivedCouplings, SystemParams, derive_couplings, thermal_factor
-from .steadystate import NoRoot, SteadyState, fixed_point
+from .steadystate import SteadyState, fixed_point
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,9 @@ def _nu(params: SystemParams, delta: np.ndarray) -> np.ndarray:
 
     One steady state, one set of couplings and one drift stack cover the
     whole grid: the excitation root depends only on (delta_r, gamma_r).
-    Without that root no point has a steady state, so every point is
-    unstable, like a point whose covariance comes back NaN.  The drift's
-    thermal weight is checked first, so a temperature at which it
-    overflows raises OverflowError whether or not the root exists.
     """
-    thermal_factor(params, params.omega_m)
     p = params.replace(delta=delta)
-    try:
-        ss = fixed_point(p)
-    except NoRoot:
-        return np.full(delta.shape, np.nan)
+    ss = fixed_point(p)
     ds = build_drift(p, derive_couplings(p, ss), ss)
     return symplectic_nu(steady_covariance(ds)[:, :4, :4])
 

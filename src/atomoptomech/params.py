@@ -96,7 +96,8 @@ def validate(params: SystemParams) -> list[str]:
     """Check modeling assumptions; returns warnings, raises on bad fields.
 
     Warnings flag strained approximations (they do not stop a run):
-    excitation fraction above 0.5, overdamped mechanics, tiny ensembles.
+    excitation fraction above 0.5, an excitation root out of floating-point
+    range, overdamped mechanics, tiny ensembles.
     ``delta`` may be an array of detunings; each entry must be finite.
     """
     for name in _POSITIVE_FIELDS:
@@ -115,7 +116,7 @@ def validate(params: SystemParams) -> list[str]:
         raise ValueError(f"n_atoms must be finite and >= 1, got {params.n_atoms!r}")
 
     warnings = []
-    from .steadystate import NoRoot, solve_beta
+    from .steadystate import solve_beta
 
     try:
         roots = solve_beta(params.delta_r, params.gamma_r)
@@ -124,8 +125,8 @@ def validate(params: SystemParams) -> list[str]:
                 "high excitation: steady-state excitation fraction above 0.5, "
                 "first-order bosonization is dubious"
             )
-    except NoRoot:
-        warnings.append("no steady-state excitation root: delta_r or gamma_r out of range")
+    except OverflowError:
+        warnings.append("excitation root out of floating-point range at this delta_r and gamma_r")
     if params.gamma_m >= params.omega_m:
         warnings.append("overdamped mechanics: gamma_m >= omega_m")
     if params.n_atoms < 100:
@@ -166,11 +167,15 @@ def thermal_factor(params: SystemParams, omega):
     return th[()]
 
 
-def check_finite(quantity: str, value, params: SystemParams) -> None:
+def check_finite(quantity: str, value, params: SystemParams, drive: bool = False) -> None:
     """Raise OverflowError naming ``quantity`` and the coupling it scales
-    with, unless every entry of ``value`` is finite."""
+    with, unless every entry of ``value`` is finite; with ``drive``, a
+    quantity built from the inferred drive, it names delta_r and gamma_r too."""
     if not np.isfinite(value).all():
-        raise OverflowError(f"{quantity} overflows at coupling_G = {params.coupling_G:.6g} rad/s")
+        at = f"coupling_G = {params.coupling_G:.6g} rad/s"
+        if drive:
+            at += f", delta_r = {params.delta_r:.6g}, gamma_r = {params.gamma_r:.6g}"
+        raise OverflowError(f"{quantity} overflows at {at}")
 
 
 def infer_drive(params: SystemParams, excitation: float) -> tuple[float, float]:
@@ -227,8 +232,9 @@ def derive_couplings(params: SystemParams, ss) -> DerivedCouplings:
             - 2.0 * drive * beta.real
         )
     # In this order, the first named is where the overflow started.  g2 and
-    # g3 are G times O(1): finite wherever |c_s|^2 is.
-    check_finite("atom-cavity coupling g1", g1, params)
-    check_finite("shifted atomic detuning delta_a'", delta_a_prime, params)
+    # g3 are G times O(1): finite wherever |c_s|^2 is.  The drive scales as
+    # 1/gamma_r and delta_a as delta_r/gamma_r, so both name those too.
+    check_finite("atom-cavity coupling g1", g1, params, drive=True)
+    check_finite("shifted atomic detuning delta_a'", delta_a_prime, params, drive=True)
 
     return DerivedCouplings(g0=g0, g1=g1, g2=g2, g3=g3, delta_a_prime=delta_a_prime)

@@ -110,12 +110,10 @@ def check_lyapunov_residuals(n_points=25, seed=7):
     stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
     residuals = []
     for ds, v in zip(drifts, steady_covariance(stack)):
-        scale = np.max(np.abs(ds.j))
-        j, d = ds.j / scale, ds.d / scale
-        residuals.append(np.max(np.abs(j @ v + v @ j.T + d)) / np.max(np.abs(d)))
+        residuals.append(np.max(np.abs(ds.j @ v + v @ ds.j.T + ds.d)) / np.max(np.abs(ds.d)))
     # A system that failed in the stack comes back NaN; np.max keeps it.
     worst = np.max(residuals)
-    return "Lyapunov residuals", worst <= 1e-9, f"worst scaled residual {worst:.2e}"
+    return "Lyapunov residuals", worst <= 1e-9, f"worst relative residual {worst:.2e}"
 
 
 def check_symplectic_closed_forms():

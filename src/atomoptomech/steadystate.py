@@ -20,11 +20,6 @@ import numpy as np
 from .params import SystemParams, check_finite, single_photon_coupling
 
 
-class NoRoot(Exception):
-    """The excitation equation has no root that could be computed: a
-    coefficient of its quartic overflows (pathological parameters)."""
-
-
 @dataclass(frozen=True)
 class SteadyState:
     """Fixed point of the mean-field equations.
@@ -99,7 +94,10 @@ def beta_roots(delta_r, gamma_r):
     (roots when d g = 0, near roots when d g is small) take six Newton
     steps on the 2-D equation.  A result is kept when its residual is at
     most 1e-12 max(1, |b|^2) and it lies farther than 1e-6 max(1, |b|) from
-    the roots kept before it.  A non-finite coefficient gives no roots.
+    the roots kept before it.  Roots out of floating-point reach are not
+    returned: a coefficient overflows from |d| of about 4.5e102, and near
+    the top of the range finite coefficients lose them too (at
+    (d, g) = (-5.3e72, 3.4e117), largest coefficient 1.2e308, none is kept).
     """
     d, g = np.float64(delta_r), np.float64(gamma_r)
     with np.errstate(all="ignore"):
@@ -146,14 +144,18 @@ def solve_beta(delta_r: float, gamma_r: float):
     """All distinct roots of the excitation equation, sorted by excitation.
 
     Every branch is returned, however high its excitation (the equation
-    reduces to one real quartic, see :func:`beta_roots`).  Results are
-    cached: the roots depend only on the dimensionless pair, which stays
-    fixed across detuning and coupling sweeps.
+    reduces to one real quartic, see :func:`beta_roots`).  A root exists
+    for every finite pair: the real part of the equation is an ellipse
+    around b = 0, the imaginary part a hyperbola (or two lines) through it
+    with unbounded branches.  Where floating point cannot reach one, it
+    raises OverflowError naming delta_r and gamma_r.  Results are cached:
+    the roots depend only on the dimensionless pair, which stays fixed
+    across detuning and coupling sweeps.
     """
     roots = [complex(b) for b in beta_roots(float(delta_r), float(gamma_r))]
     if not roots:
-        raise NoRoot(
-            f"no roots of the excitation equation for delta_r={delta_r}, gamma_r={gamma_r}"
+        raise OverflowError(
+            f"excitation root beta overflows at delta_r = {delta_r:.6g}, gamma_r = {gamma_r:.6g}"
         )
     roots.sort(key=lambda b: (abs(b) ** 2, b.real, b.imag))
     return tuple(roots)

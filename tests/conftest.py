@@ -5,10 +5,34 @@ in the test suite only; the shipped library never calls a general
 eigensolver.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import atomoptomech as am
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("atomoptomech", derandomize=True, database=None, deadline=None)
+settings.load_profile("atomoptomech")
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # Hypothesis still caches the constants it reads from the package's
+    # source, at collection, in its home directory: give it a temporary one,
+    # removed when the run ends, so a run leaves no .hypothesis/ behind.
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="atomoptomech-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import atomoptomech as am
 from atomoptomech import cli
@@ -390,16 +394,16 @@ def test_phonon_number_config_key_is_gone(capsys, tmp_path):
 
 
 THERMAL_OVERFLOW = "thermal noise weight overflows at temperature = 1e+300 K"
+ROOT_OVERFLOW = "excitation root beta overflows at delta_r = 1e+200, gamma_r = 1"
 
 
 @pytest.mark.parametrize(
     "argv, err_line",
     [
         (["entangle", "--out", "e.csv"], f"numeric failure: {THERMAL_OVERFLOW}"),
-        # no excitation root, so no point has a drift: the weight still
-        # fails the run rather than every row reading unstable
+        # the root is solved before the drift, so its overflow is named first
         (["entangle", "--delta-r", "1e200", "--out", "e.csv"],
-         f"numeric failure: {THERMAL_OVERFLOW}"),
+         f"numeric failure: {ROOT_OVERFLOW}"),
         (["reproduce", "fig3"], f"error: fig3 failed: OverflowError: {THERMAL_OVERFLOW}"),
         (["reproduce", "fig4"], f"error: fig4 failed: OverflowError: {THERMAL_OVERFLOW}"),
     ],
@@ -474,9 +478,8 @@ class TestSteadyCommand:
 
     def test_no_root_is_a_numeric_failure(self, capsys):
         code, out, err = run_cli(capsys, "steady", "--delta-r", "1e200", "--json")
-        assert code == cli.EXIT_NUMERIC
-        assert "numeric failure" in err
-        assert "Traceback" not in err + out
+        assert code == cli.EXIT_NUMERIC and out == ""
+        assert err == f"numeric failure: {ROOT_OVERFLOW}\n"
 
     def test_text_output(self, capsys):
         code, out, err = run_cli(capsys, "steady", "--case", "8")
@@ -587,14 +590,16 @@ class TestEntangleCommand:
         row = lines[1].split(",")
         assert row[1] in ("true", "false")
 
-    def test_no_root_rows_are_unstable(self, capsys):
-        # no steady state at this delta_r: every row is data, not a failure
-        code, out, err = run_cli(capsys, "entangle", "--delta-r", "1e200", "--points", "3")
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 4
-        assert all(line.split(",")[1:] == ["false", "", ""] for line in lines[1:])
-        assert "Traceback" not in out + err
+    def test_no_root_rows_are_unstable(self, capsys, tmp_path):
+        # a root out of floating-point reach at this delta_r fails the
+        # sweep, as it fails steady and spectrum, with no row and no file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "entangle", "--delta-r", "1e200", "--points", "3",
+                                     "--out", str(tmp_path / "e.csv"))
+        assert code == cli.EXIT_NUMERIC and out == ""
+        assert err == f"numeric failure: {ROOT_OVERFLOW}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -609,19 +614,70 @@ class TestEntangleCommand:
             ("entangle", "--g", "1e150", "--points", "3"),
             "static mirror displacement x_s = g0 |c_s|^2 / omega_m",
         ),
+        # the inferred drive (gamma_a - Im K) / gamma_r overflows, and g1
+        # names gamma_r after the coupling
+        (("spectrum", "--gamma-r=1e-300", "--points", "3"), "atom-cavity coupling g1"),
     ],
-    ids=["spectrum-g", "entangle-g", "steady-g", "spectrum-g1e150", "entangle-g1e150"],
+    ids=["spectrum-g", "entangle-g", "steady-g", "spectrum-g1e150", "entangle-g1e150",
+         "spectrum-gamma-r"],
 )
 def test_overflowing_rate_is_a_numeric_failure(capsys, argv, quantity):
-    # a valid coupling so large that a steady-state quantity or a coupling
-    # overflows: a failure that names the quantity and the field, with no
-    # NumPy warning on the way
+    # a valid coupling so large, or gamma_r so small, that a steady-state
+    # quantity or a coupling overflows: a failure that names the quantity
+    # and the fields, with no NumPy warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_NUMERIC
     assert err.startswith(f"numeric failure: {quantity} overflows at coupling_G")
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "command, knobs, err_line",
+    [
+        ("entangle", ["--gamma-r=1e-300"], "atom-cavity coupling g1 overflows at coupling_G = "
+         "3.92699e+08 rad/s, delta_r = 1, gamma_r = 1e-300"),
+        ("spectrum", ["--delta-r=-1e102", "--gamma-r=1e-200"], "shifted atomic detuning "
+         "delta_a' overflows at coupling_G = 3.92699e+08 rad/s, delta_r = -1e+102, "
+         "gamma_r = 1e-200"),
+    ],
+)
+def test_drive_overflow_names_delta_r_and_gamma_r(capsys, command, knobs, err_line):
+    # the inferred drive is (gamma_a - Im K) / gamma_r and the bare atomic
+    # detuning delta_r times it, so the couplings built from them name both
+    code, out, err = run_cli(capsys, command, *knobs, "--points", "3")
+    assert code == cli.EXIT_NUMERIC and out == ""
+    assert err == f"numeric failure: {err_line}\n"
+
+
+# |delta_r| and gamma_r log-uniform over the whole double range; delta_r of
+# both signs and 0
+_MAGNITUDE = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@given(
+    delta_r=st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda m: -m)),
+    gamma_r=_MAGNITUDE,
+)
+def test_every_root_runs_or_fails_on_one_overflow_line(delta_r, gamma_r):
+    # a root exists for every finite (delta_r, gamma_r), so the only failure
+    # left is floating-point range: exit 1 with one line naming the overflow.
+    # A negative value in exponent form needs the --flag=value spelling.
+    knobs = [f"--delta-r={delta_r!r}", f"--gamma-r={gamma_r!r}"]
+    for argv in (["steady"], ["spectrum", "--points", "3"], ["entangle", "--points", "3"]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv + knobs)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err and "RuntimeWarning" not in out + err
+        if code == cli.EXIT_OK:
+            assert err == ""
+        else:
+            assert code == cli.EXIT_NUMERIC and out == "", (argv, code, err)
+            assert re.fullmatch(r"numeric failure: [^\n]* overflows at [^\n]*\n", err), err
 
 
 @pytest.mark.parametrize("g", ["-5", "nan", "inf"])

@@ -288,16 +288,13 @@ class TestDetuningSweep:
         # NaN marks an unstable point in both columns, and only there
         np.testing.assert_array_equal(np.isfinite(table.e_n), stable)
         np.testing.assert_array_equal(np.isfinite(table.nu), stable)
-        # without a root of the excitation equation (its quartic overflows)
-        # no point of the sweep has a steady state
+        # an excitation root out of floating-point reach (its quartic
+        # overflows) fails the sweep and the single point alike
         q = p.replace(delta_r=1e200)
-        table = am.detuning_sweep(q, grid)
-        assert table.delta_over_omega_m == pytest.approx(grid / p.omega_m)
-        assert np.all(np.isnan(table.e_n)) and np.all(np.isnan(table.nu))
-        assert table.e_n.shape == table.nu.shape == grid.shape
-        assert am.entanglement_at(q) == am.EntanglementResult(
-            q.delta / q.omega_m, stable=False, e_n=None, nu=None
-        )
+        with pytest.raises(OverflowError, match="delta_r = 1e\\+200, gamma_r = 1$"):
+            am.detuning_sweep(q, grid)
+        with pytest.raises(OverflowError, match="delta_r = 1e\\+200, gamma_r = 1$"):
+            am.entanglement_at(q)
 
     def test_matches_pointwise_entanglement_at(self, default_params):
         # the stacked sweep against batches of one, on a grid whose low
