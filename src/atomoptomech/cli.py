@@ -6,9 +6,8 @@ mirror the way operating points are usually quoted: ``--g`` and
 ``--gamma-a`` in units of kappa, ``--delta`` and ``--gamma-m`` in units of
 omega_m, everything else SI.  ``--case`` presets delta_r and gamma_r and
 refuses ``--delta-r`` and ``--gamma-r``.  Config files are flat
-``key = value`` text with SI values, keyed by the SystemParams fields;
-flags override file values.  The environment variable ATOMOPTOMECH_CONFIG
-supplies a default config path.
+``key = value`` text with SI values, keyed by the SystemParams fields,
+each at most once; flags override file values.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .steadystate import fixed_point
 # tracer wraps only functions of modules loaded when the CLI module is, and
 # line_plot is part of its output layer.
 from .svg import line_plot
-
-ENV_CONFIG = "ATOMOPTOMECH_CONFIG"
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -67,9 +64,10 @@ def _run_config(args, *paths) -> SystemParams:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat key = value config: SI values, keyed by a SystemParams field."""
+    """Flat key = value config: SI values, keyed by a SystemParams field,
+    each set on one line only."""
     allowed = {f.name for f in fields(SystemParams)}
-    values = {}
+    values, seen = {}, {}  # key -> value, and the line that set it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -82,6 +80,9 @@ def parse_config_file(path: str) -> dict:
             val = val.strip()
             if key not in allowed:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+            seen[key] = lineno
             try:
                 values[key] = float(val)
             except ValueError:
@@ -113,15 +114,7 @@ PARAM_FLAGS = (
 def build_params(args) -> SystemParams:
     """Defaults <- config file <- SI flags <- scaled flags <- ``--case``;
     ``--case`` sets delta_r and gamma_r, so their flags may not come with it."""
-    file_vals: dict = {}
-    path = getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
-    if path:
-        if not os.path.exists(path) and getattr(args, "config", None) is None:
-            # A stale env var pointing nowhere is not an error, but say so.
-            print(f"warning: {ENV_CONFIG}={path} does not exist; ignored", file=sys.stderr)
-        else:
-            file_vals = parse_config_file(path)
-    params = SystemParams(**file_vals)
+    params = SystemParams(**(parse_config_file(args.config) if args.config else {}))
 
     flags = [(key, unit, getattr(args, dest, None)) for dest, key, unit, _ in PARAM_FLAGS]
     flags = [(key, unit, val) for key, unit, val in flags if val is not None]
@@ -183,12 +176,12 @@ def _csv(header, columns) -> str:
 
 
 def spectrum_csv(table) -> str:
-    header = ["omega_over_omega_m"] + [f"s_out_g{g:g}" for g in table.g_over_kappa]
+    header = ["omega_over_omega_m"] + [f"s_out_g{g:.12g}" for g in table.g_over_kappa]
     return _csv(header, [table.omega_over_omega_m, *table.s_out.T])
 
 
 def _spectrum_svg(table, title="") -> str:
-    labels = [f"G = {g:g} kappa" for g in table.g_over_kappa]
+    labels = [f"G = {g:.12g} kappa" for g in table.g_over_kappa]
     return line_plot(
         table.omega_over_omega_m, table.s_out.T, labels, "omega / omega_m", "S_out", title=title
     )

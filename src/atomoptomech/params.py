@@ -135,31 +135,34 @@ def validate(params: SystemParams) -> list[str]:
 
 
 def single_photon_coupling(params: SystemParams) -> float:
-    """Radiation-pressure coupling per photon, omega_c/L * sqrt(hbar/(m omega_m))."""
-    return (
-        params.omega_c
-        / params.cavity_length
-        * math.sqrt(HBAR / (params.mirror_mass * params.omega_m))
-    )
+    """Radiation-pressure coupling per photon, omega_c/L * sqrt(hbar/(m omega_m));
+    where m omega_m underflows to 0, the root is taken of each factor."""
+    m, w = params.mirror_mass, params.omega_m
+    root = math.sqrt(HBAR / (m * w)) if m * w else math.sqrt(HBAR / m) / math.sqrt(w)
+    return params.omega_c / params.cavity_length * root
 
 
 def thermal_factor(params: SystemParams, omega):
     """Brownian-noise spectral weight (gamma_m/omega_m) w [coth(hw/2kT) - 1].
 
-    Zero for positive frequencies at T = 0; the negative-frequency branch
-    tends to -2 gamma_m w / omega_m.  At T > 0 and w = 0 it takes its finite
-    limit 2 gamma_m k_B T / (hbar omega_m).  A temperature at which the
-    weight overflows at a finite frequency raises OverflowError.
+    At T = 0 it is zero for w > 0, and -2 gamma_m w / omega_m, evaluated only
+    there, for the other frequencies.  At T > 0 and w = 0 it takes its limit
+    2 gamma_m k_B T / (hbar omega_m).  A weight that overflows at a finite
+    frequency raises OverflowError, at any temperature.
     """
     omega = np.asarray(omega, dtype=float)
-    if params.temperature <= 0.0:
-        return np.where(omega > 0.0, 0.0, -2.0 * params.gamma_m * omega / params.omega_m)[()]
-    kt = K_BOLTZMANN * params.temperature
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = HBAR * omega / (2.0 * kt)
-        th = params.gamma_m / params.omega_m * omega * (-1.0 + 1.0 / np.tanh(x))
-    limit = 2.0 * params.gamma_m * kt / (HBAR * params.omega_m)
-    th = np.where(omega == 0.0, limit, th)
+        if params.temperature <= 0.0:
+            th = np.zeros(omega.shape)
+            cold = ~(omega > 0.0)
+            th[cold] = -2.0 * params.gamma_m * omega[cold] / params.omega_m
+        else:
+            kt = K_BOLTZMANN * params.temperature
+            x = HBAR * omega / (2.0 * kt)
+            th = params.gamma_m / params.omega_m * omega * (-1.0 + 1.0 / np.tanh(x))
+            # a NumPy quotient: an hbar omega_m that underflows to 0 gives inf
+            limit = np.float64(2.0 * params.gamma_m * kt) / (HBAR * params.omega_m)
+            th = np.where(omega == 0.0, limit, th)
     if not np.isfinite(th[np.isfinite(omega)]).all():
         raise OverflowError(
             f"thermal noise weight overflows at temperature = {params.temperature:.6g} K"

@@ -38,8 +38,7 @@ RUN_ARGV = {
 
 
 class TestConfig:
-    def test_defaults_without_file(self, monkeypatch):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    def test_defaults_without_file(self):
         p = cli.build_params(_Namespace())
         assert p.omega_m == pytest.approx(2 * math.pi * 4e7)
         assert p.kappa == pytest.approx(2 * math.pi * 2.5e6)
@@ -91,35 +90,36 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="cavity_finesse"):
             cli.parse_config_file(str(cfg))
 
-    def test_env_var_config(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "env.cfg"
-        cfg.write_text("n_atoms = 12345\n")
-        monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-        p = cli.build_params(_Namespace())
-        assert p.n_atoms == 12345
-
-    def test_stale_env_config_warns(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_CONFIG, str(tmp_path / "gone.cfg"))
-        code, out, err = run_cli(capsys, "steady", "--case", "1")
-        assert code == cli.EXIT_OK
-        assert "|beta|^2" in out
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning:")
-        assert cli.ENV_CONFIG in lines[0] and "gone.cfg" in lines[0]
-
-    def test_existing_env_config_is_read_silently(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
-        _, default, _ = run_cli(capsys, "steady", "--case", "1", "--json")
+    def test_environment_names_no_config(self, capsys, tmp_path, monkeypatch):
+        # a run's parameters come from its argv alone: ATOMOPTOMECH_CONFIG,
+        # naming a file with another mirror mass or naming nothing, changes
+        # no output, message, exit code or file
         cfg = tmp_path / "env.cfg"
         cfg.write_text("mirror_mass = 2e-13\n")
-        monkeypatch.setenv(cli.ENV_CONFIG, str(cfg))
-        code, out, err = run_cli(capsys, "steady", "--case", "1", "--json")
-        assert code == cli.EXIT_OK
-        assert err == ""
-        assert json.loads(out)["x_s"] != json.loads(default)["x_s"]
+        for argv in (["steady", "--json"], RUN_ARGV["spectrum"], RUN_ARGV["entangle"]):
+            runs = []
+            for value in (None, str(cfg), str(tmp_path / "gone.cfg")):
+                if value is None:
+                    monkeypatch.delenv("ATOMOPTOMECH_CONFIG", raising=False)
+                else:
+                    monkeypatch.setenv("ATOMOPTOMECH_CONFIG", value)
+                work = tmp_path / f"{argv[0]}{len(runs)}"
+                work.mkdir()
+                monkeypatch.chdir(work)
+                result = run_cli(capsys, *argv)
+                runs.append((result, {f.name: f.read_bytes() for f in work.iterdir()}))
+            assert runs[0][0][0] == cli.EXIT_OK
+            assert runs[1] == runs[0] and runs[2] == runs[0], argv
 
-    def test_missing_explicit_config_is_config_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    def test_repeated_key_is_config_error(self, capsys, tmp_path):
+        # a later line may not silently overwrite an earlier one
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("delta_r = 2\n# a comment\ndelta_r = 3\n")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == f"config error: {cfg}:3: key 'delta_r' already set on line 1\n"
+
+    def test_missing_explicit_config_is_config_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "steady", "--config", str(tmp_path / "gone.cfg"))
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:")
@@ -136,8 +136,7 @@ class TestConfig:
     # omega_c is the one input for the cavity frequency, so a wavelength
     # is refused whatever its value, and never reaches a division
     @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
-    def test_bad_wavelength_flag_is_config_error(self, capsys, monkeypatch, value):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    def test_bad_wavelength_flag_is_config_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
             cli.main(["steady", "--wavelength", value])
         assert exc.value.code == cli.EXIT_CONFIG
@@ -199,8 +198,7 @@ class TestParamTable:
         assert len(keys) == len(set(keys)) == len(dataclasses.fields(am.SystemParams))
 
     @pytest.mark.parametrize("dest", SI_FLAGS)
-    def test_si_flag_sets_its_field(self, dest, monkeypatch):
-        monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    def test_si_flag_sets_its_field(self, dest):
         p = cli.build_params(_Namespace(**{dest: 0.75}))
         assert p == am.SystemParams().replace(**{dest: 0.75})
 
@@ -563,6 +561,31 @@ class TestSpectrumCommand:
         assert err == f"error: fig2 failed: OverflowError: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_columns_keep_the_couplings_digits(self, capsys, tmp_path):
+        # each column is named by its coupling to the CSV's 12 significant
+        # digits, so two couplings never share a name
+        svg = tmp_path / "s.svg"
+        code, out, err = run_cli(
+            capsys, "spectrum", "--g", "123456.7", "--g", "25", "--g", "25.0000001",
+            "--points", "1", "--svg", str(svg),
+        )
+        assert code == 0 and err == ""
+        header = "omega_over_omega_m,s_out_g123456.7,s_out_g25,s_out_g25.0000001"
+        assert out.splitlines()[0] == header
+        text = svg.read_text()
+        for g in ("123456.7", "25", "25.0000001"):
+            assert f">G = {g} kappa<" in text
+
+    def test_discarded_cold_branch_warns_nothing(self, capsys):
+        # at T = 0 the weight of a positive frequency is 0, and the
+        # negative-frequency branch, which overflows here, is not evaluated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", "--gamma-m=3.2e52", "--omega-m=2.3e139",
+                                     "--points", "2")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 3
+
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "plot.svg"
         code, _, _ = run_cli(
@@ -617,9 +640,12 @@ class TestEntangleCommand:
         # the inferred drive (gamma_a - Im K) / gamma_r overflows, and g1
         # names gamma_r after the coupling
         (("spectrum", "--gamma-r=1e-300", "--points", "3"), "atom-cavity coupling g1"),
+        # m omega_m underflows to 0: g0 is finite, but x_s is not
+        (("steady", "--omega-m=1e-200", "--mirror-mass=1e-200"),
+         "static mirror displacement x_s = g0 |c_s|^2 / omega_m"),
     ],
     ids=["spectrum-g", "entangle-g", "steady-g", "spectrum-g1e150", "entangle-g1e150",
-         "spectrum-gamma-r"],
+         "spectrum-gamma-r", "steady-m-omega-m"],
 )
 def test_overflowing_rate_is_a_numeric_failure(capsys, argv, quantity):
     # a valid coupling so large, or gamma_r so small, that a steady-state
@@ -631,6 +657,17 @@ def test_overflowing_rate_is_a_numeric_failure(capsys, argv, quantity):
     assert code == cli.EXIT_NUMERIC
     assert err.startswith(f"numeric failure: {quantity} overflows at coupling_G")
     assert "Traceback" not in out + err
+
+
+def test_underflowing_hbar_omega_m_is_a_named_overflow(capsys):
+    # hbar omega_m underflows to 0 in the omega = 0 limit of the thermal
+    # weight: no ZeroDivisionError, but the weight's overflow, named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "spectrum", "--temperature=1", "--omega-m=1e-300",
+                                 "--mirror-mass=1e300", "--points", "1")
+    assert code == cli.EXIT_NUMERIC and out == ""
+    assert err == "numeric failure: thermal noise weight overflows at temperature = 1 K\n"
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,18 @@ class TestDerivedCouplings:
             3626.4115885929677, rel=1e-12
         )
 
+    def test_single_photon_coupling_where_m_omega_m_underflows(self, default_params):
+        # m omega_m rounds to 0, but g0 is finite: the root is the same
+        # product taken 2^200 higher and the root scaled back by 2^100
+        from atomoptomech.params import HBAR
+
+        p = default_params.replace(mirror_mass=5e-324, omega_m=0.4)
+        assert p.mirror_mass * p.omega_m == 0.0
+        root = math.sqrt(HBAR / (p.mirror_mass * 2.0**200 * p.omega_m)) * 2.0**100
+        assert am.single_photon_coupling(p) == pytest.approx(
+            p.omega_c / p.cavity_length * root, rel=1e-15
+        )
+
     def test_depletion_factor_case1(self, default_params):
         ss = am.fixed_point(default_params)
         cpl = am.derive_couplings(default_params, ss)

@@ -334,6 +334,17 @@ class TestOutputSpectrum:
         assert thermal_factor(pt, 0.5 * p.omega_m) > 0.0
         assert thermal_factor(pt, -0.5 * p.omega_m) > 0.0
 
+    def test_cold_weight_that_overflows_raises(self, default_params):
+        # at T = 0 the negative-frequency weight -2 gamma_m w / omega_m
+        # overflows as any other temperature's does: the named failure
+        p = default_params.replace(gamma_m=1e300)
+        message = "thermal noise weight overflows at temperature = 0 K"
+        with pytest.raises(OverflowError, match=message):
+            thermal_factor(p, np.array([1e300, -1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert thermal_factor(p, 1e300) == 0.0
+
 
 class TestSpectrumSweep:
     def test_single_point_matches_output_spectrum(self, default_params):
