@@ -107,7 +107,10 @@ def steady_covariance(ds: DriftSystem) -> np.ndarray:
 
 def _e_n(nu):
     """Log-negativity max(0, -ln 2 nu) of the smallest symplectic eigenvalue
-    ``nu``, a scalar or an array; NaN where ``nu`` is."""
+    ``nu``, a scalar or an array; NaN where ``nu`` is.  A ``nu`` that
+    underflowed to 0 raises OverflowError."""
+    if np.any(nu == 0.0):
+        raise OverflowError("log-negativity E_N = -ln(2 nu) overflows at nu = 0")
     return np.maximum(0.0, -np.log(2.0 * nu))
 
 

@@ -54,9 +54,6 @@ def lu_solve(a, b):
         raise ValueError("lu_solve works in place on C-contiguous arrays")
     n, batch = b.shape
     systems = np.arange(batch)
-    # Flat index of entry (0, j, s) of a for the columns j of each step.
-    cols = np.arange(n)[:, None] * batch + systems
-    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
     step = _slab(n, batch)
     anorm = np.zeros(batch)
     for i in range(0, n, step):
@@ -72,11 +69,11 @@ def lu_solve(a, b):
             # elimination after it turns that system into NaN.
             min_pivot = np.fmin(min_pivot, mag.max(axis=0))
             # Swap row k with each system's pivot row from column k on
-            # (the columns before it are no longer read), by flat index.
-            rows = piv * (n * batch) + cols[k:]
-            a[k, k:], flat_a[rows] = flat_a[rows], a[k, k:].copy()
-            rows = piv * batch + systems
-            b[k], flat_b[rows] = flat_b[rows], b[k].copy()
+            # (the columns before it are no longer read).  NumPy puts the
+            # broadcast index axis (piv, systems) first, so the pivot rows
+            # come back (batch, n - k) and go in transposed.
+            a[k, k:], a[piv, k:, systems] = a[piv, k:, systems].T, a[k, k:].T.copy()
+            b[k], b[piv, systems] = b[piv, systems], b[k].copy()
             # Operands of one number of axes: a one-element complex product
             # broadcast over a prepended axis skips NumPy's FMA loop, so a
             # batch of one would round unlike a stack.

@@ -100,7 +100,7 @@ def build_matrix(
     j = build_drift(params, couplings, ss).j
     a = np.empty(w.shape + (6, 6), dtype=np.complex128)
     a[...] = -(_B @ j @ _B.conj().T)
-    a.reshape(w.shape + (36,))[..., ::7] -= 1j * w[..., None]
+    a[..., range(6), range(6)] -= 1j * w[..., None]
     return a
 
 

@@ -671,6 +671,28 @@ def test_underflowing_hbar_omega_m_is_a_named_overflow(capsys):
 
 
 @pytest.mark.parametrize(
+    "knobs",
+    [
+        ["--cavity-length=2.8457935238249142e+150", "--temperature=6.336390961795874e+191"],
+        ["--n-atoms=5.531846617990012e+120", "--temperature=2.0057259393614427e+192",
+         "--kappa=1.2372320914521237e-100", "--mirror-mass=0.3724961390665021",
+         "--cavity-length=3.4516644986097546e+201", "--case", "1",
+         "--delta-min=2.0144841417483352", "--delta-max=-0.36153133869756715", "--points", "1"],
+    ],
+    ids=["long-cavity", "many-atoms"],
+)
+def test_underflowing_nu_is_a_named_overflow(capsys, tmp_path, knobs):
+    # nu underflows to 0 at a stable point: E_N's overflow, named, with no
+    # divide warning, no stable row with an empty e_n and no file
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "entangle", *knobs, "--out", str(tmp_path / "e.csv"))
+    assert code == cli.EXIT_NUMERIC and out == ""
+    assert err == "numeric failure: log-negativity E_N = -ln(2 nu) overflows at nu = 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "command, knobs, err_line",
     [
         ("entangle", ["--gamma-r=1e-300"], "atom-cavity coupling g1 overflows at coupling_G = "
@@ -693,28 +715,44 @@ def test_drive_overflow_names_delta_r_and_gamma_r(capsys, command, knobs, err_li
 _MAGNITUDE = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
 
 
+def _runs_or_fails_on_one_overflow_line(argv):
+    # exit 0 with nothing on stderr, or exit 1 with one line naming the
+    # overflow, and no warning either way
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err and "RuntimeWarning" not in out + err
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert code == cli.EXIT_NUMERIC and out == "", (argv, code, err)
+        assert re.fullmatch(r"numeric failure: [^\n]* overflows at [^\n]*\n", err), err
+
+
 @given(
     delta_r=st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda m: -m)),
     gamma_r=_MAGNITUDE,
 )
 def test_every_root_runs_or_fails_on_one_overflow_line(delta_r, gamma_r):
     # a root exists for every finite (delta_r, gamma_r), so the only failure
-    # left is floating-point range: exit 1 with one line naming the overflow.
-    # A negative value in exponent form needs the --flag=value spelling.
+    # left is floating-point range.  A negative value in exponent form needs
+    # the --flag=value spelling.
     knobs = [f"--delta-r={delta_r!r}", f"--gamma-r={gamma_r!r}"]
     for argv in (["steady"], ["spectrum", "--points", "3"], ["entangle", "--points", "3"]):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = cli.main(argv + knobs)
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in out + err and "RuntimeWarning" not in out + err
-        if code == cli.EXIT_OK:
-            assert err == ""
-        else:
-            assert code == cli.EXIT_NUMERIC and out == "", (argv, code, err)
-            assert re.fullmatch(r"numeric failure: [^\n]* overflows at [^\n]*\n", err), err
+        _runs_or_fails_on_one_overflow_line(argv + knobs)
+
+
+@given(temperature=st.one_of(st.just(0.0), _MAGNITUDE), cavity_length=_MAGNITUDE)
+def test_every_bath_and_cavity_runs_or_fails_on_one_overflow_line(temperature, cavity_length):
+    # a hot bath and a long cavity push the mirror and cavity variances
+    # apart, down to a nu that underflows to 0
+    _runs_or_fails_on_one_overflow_line([
+        "entangle", "--points", "3",
+        f"--temperature={temperature!r}", f"--cavity-length={cavity_length!r}",
+    ])
 
 
 @pytest.mark.parametrize("g", ["-5", "nan", "inf"])

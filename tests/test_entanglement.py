@@ -226,6 +226,20 @@ class TestLogNegativity:
             r = am.log_negativity(np.diag([1.0, 0.0, 1.0, 1.0, 0.5, 0.5]))
         assert r.stable is False and r.e_n is None and r.nu is None
 
+    def test_underflowing_nu_is_a_named_overflow(self, default_params):
+        # a long cavity on a hot bath: the mirror's variance is 3e194 and
+        # the cavity's about 1, and nu underflows to 0 at a stable point.
+        # E_N = -ln(2 nu) would be inf, with a divide warning.
+        p = default_params.replace(cavity_length=2.8457935238249142e150,
+                                   temperature=6.336390961795874e191)
+        ss = am.fixed_point(p)
+        v = am.steady_covariance(am.build_drift(p, am.derive_couplings(p, ss), ss))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"^log-negativity E_N = -ln\(2 nu\) "
+                               r"overflows at nu = 0$"):
+                am.log_negativity(v)
+
     def test_two_mode_squeezed_injection(self):
         r = 0.5
         ch, sh = np.cosh(2 * r), np.sinh(2 * r)
