@@ -401,4 +401,5 @@ def symplectic_nu(v4):
         # when the two symplectic eigenvalues are far apart
         nu = np.sqrt(2.0 * det / (sigma + np.sqrt(np.maximum(rad, 0.0))))
     # det <= 0 or sigma <= 0 is no physical state; nu = 0 would give E_N = inf.
-    return np.where((rad < -1e-9) | (det <= 0.0) | (sigma <= 0.0), np.nan, nu * s)[()]
+    # Nor is rad < 0, but rad rounds to about 1e-16 sigma^2 either side of 0.
+    return np.where((rad < -1e-9 * sigma * sigma) | (det <= 0.0) | (sigma <= 0.0), np.nan, nu * s)[()]

@@ -27,17 +27,19 @@ def _rel_err(a, b):
 
 
 def check_root_residuals(n_random=25, seed=0):
-    """Every root returned by ``solve_beta``, high branches too, satisfies its equation."""
+    """Every root returned by ``solve_beta``, high branches too, satisfies its
+    equation, to the residual 1e-12 max(1, |beta|^2) that keeps a root."""
     rng = np.random.default_rng(seed)
     residuals = [0.0]
-    cases = [(1.0, 1.0), (2.5, 2.5), (8.0, 8.0)]
+    cases = [(1.0, 1.0), (2.5, 2.5), (8.0, 8.0), (1e120, 1.0)]
     cases += [(rng.uniform(0.2, 10.0), rng.uniform(0.2, 10.0)) for _ in range(n_random)]
     for dr, gr in cases:
         for root in solve_beta(dr, gr):
             res = excitation_equation(root, dr, gr)
-            residuals += [abs(res.real), abs(res.imag)]
+            scale = max(1.0, abs(root) ** 2)
+            residuals += [abs(res.real) / scale, abs(res.imag) / scale]
     worst = np.max(residuals)  # keeps NaN, unlike the builtin max
-    return "excitation-equation residuals", worst <= 1e-10, f"worst residual {worst:.2e}"
+    return "excitation-equation residuals", worst <= 1e-12, f"worst scaled residual {worst:.2e}"
 
 
 def check_reference_excitations():

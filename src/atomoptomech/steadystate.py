@@ -4,9 +4,9 @@ The collective atomic amplitude (per sqrt-atom, written ``beta``) obeys a
 nonlinear fixed-point equation parameterized only by the dimensionless
 effective detuning and decay; the cavity amplitude and static mirror
 displacement follow algebraically.  The roots of that equation,
-:func:`beta_roots`, come from one real quartic solved by Aberth-Ehrlich
-iteration (:func:`_quartic_roots`) and polished by Newton steps on the 2-D
-equation.
+:func:`beta_roots`, come from one real quartic in the excitation |beta|^2
+(Aberth-Ehrlich iteration, :func:`_quartic_roots`) and Newton steps on the
+2-D equation, for both branches up to |delta_r| of about 3.35e153.
 """
 
 from __future__ import annotations
@@ -53,74 +53,68 @@ def excitation_equation(beta: complex, delta_r: float, gamma_r: float) -> comple
 
 
 def _quartic_roots(a):
-    """The four complex roots of the monic quartic with real coefficients
-    ``a`` (highest power first), by Aberth-Ehrlich iteration.
-
-    Exactly zero trailing coefficients are taken off first as exact roots
-    at 0: the iteration converges only linearly to a multiple root, and its
-    relative stopping test never fires at 0.
+    """The four complex roots of a monic quartic with real coefficients
+    ``a`` (highest power first), by Aberth-Ehrlich iteration.  ``a`` may be
+    a stack (..., 5) of quartics; the roots come back as (..., 4).
     """
-    a = np.trim_zeros(np.array(a, dtype=float), "b")
-    n = len(a) - 1
-    zeros = np.zeros(4 - n, dtype=np.complex128)
-    if n == 0:
-        return zeros
+    a = np.array(a, dtype=float)
     # The iteration runs on the roots over Fujiwara's bound on them, with
     # a[k] divided by it k times, so that no power can overflow.
-    radius = 2.0 * max(abs(a[k]) ** (1.0 / k) for k in range(1, n + 1))
-    for k in range(1, n + 1):
-        a[k:] /= radius
-    da = a[:-1] * np.arange(float(n), 0.0, -1.0)
+    radius = 2.0 * np.max(np.abs(a[..., 1:]) ** (1.0 / np.arange(1.0, 5.0)), axis=-1)
+    for k in range(1, 5):
+        a[..., k:] /= radius[..., None]
     # Starts off the real axis and off conjugate symmetry.
-    z = np.exp(1j * (2.0 / n * np.pi * np.arange(n) + 0.4))
+    z = np.exp(1j * (0.5 * np.pi * np.arange(4) + 0.4)) * np.ones_like(radius)[..., None]
     for _ in range(100):
-        ratio = np.polyval(a, z) / np.polyval(da, z)
-        diff = z[:, None] - z
-        np.fill_diagonal(diff, np.inf)
-        w = ratio / (1.0 - ratio * (1.0 / diff).sum(axis=1))
+        p, dp = z + a[..., 1, None], 1.0
+        for k in range(2, 5):
+            p, dp = p * z + a[..., k, None], dp * z + p
+        diff = np.where(np.eye(4, dtype=bool), np.inf, z[..., :, None] - z[..., None, :])
+        ratio = p / dp
+        w = ratio / (1.0 - ratio * (1.0 / diff).sum(axis=-1))
         z = z - w
         if np.all(np.abs(w) <= 1e-14 * np.abs(z)) or not np.isfinite(z).all():
             break
-    return np.concatenate((radius * z, zeros))
+    return radius[..., None] * z
 
 
 def beta_roots(delta_r, gamma_r):
     """All distinct roots of the collective-amplitude fixed-point equation
     -2(d - i g) b + 2|b|^2 + b^2 - 2 = 0, d = delta_r, g = gamma_r.
 
-    With b = x + iy the imaginary part gives y = -g x / (x - d), and the
-    real part then reduces to one real quartic in x.  Its real roots, mapped
-    to y, and the points y = g +- sqrt(g^2 + 2 - d^2) on the line x = d
-    (roots when d g = 0, near roots when d g is small) take six Newton
-    steps on the 2-D equation.  A result is kept when its residual is at
-    most 1e-12 max(1, |b|^2) and it lies farther than 1e-6 max(1, |b|) from
-    the roots kept before it.  Roots out of floating-point reach are not
-    returned: a coefficient overflows from |d| of about 4.5e102, and near
-    the top of the range finite coefficients lose them too (at
-    (d, g) = (-5.3e72, 3.4e117), largest coefficient 1.2e308, none is kept).
+    At e = |b|^2 it is the quadratic b^2 - 2ab + 2(e - 1) = 0, a = d - i g,
+    which with its conjugate and b* = e/b gives one real quartic in e:
+    9e^4 - (48 + 4d^2 + 36g^2)e^3 + (88 + 16d^2 + 48g^2)e^2
+    - (64 + 16d^2 + 16g^2)e + 16 = 0.  Its roots spread from about
+    (4d^2 + 36g^2)/9 down to about 1/|a|^2, so the small ones come from the
+    reverse quartic (roots 1/e), stacked in one Aberth pass.  At the real
+    part of each of the eight, the quadratic's roots a +- s, s^2 = a^2 -
+    2(e - 1), and 2(e - 1)/(a +- s), accurate where a -+ s cancels, take six
+    Newton steps on the 2-D equation.  The results with residual at most
+    1e-12 max(1, |b|^2) are taken in order of residual, and each is kept if
+    it lies farther than 1e-6 max(1, |b|) from the roots kept before it
+    (where Newton ends, within an ulp or two, depends on its seed).  No root
+    is returned from |d| of about 3.35e153 or g of about 1.93e153, where
+    16 d^2 or 48 g^2 overflows.
     """
     d, g = np.float64(delta_r), np.float64(gamma_r)
     with np.errstate(all="ignore"):
-        coeffs = np.array([3.0, -8.0 * d, 7.0 * d * d + 3.0 * g * g - 2.0,
-                           4.0 * d - 2.0 * (d * d + g * g) * d, -2.0 * d * d])
-        if not np.all(np.isfinite(coeffs)):
+        d2, g2 = d * d, g * g
+        c = np.array([9.0, -(48.0 + 4.0 * d2 + 36.0 * g2), 88.0 + 16.0 * d2 + 48.0 * g2,
+                      -(64.0 + 16.0 * (d2 + g2)), 16.0])
+        if not np.all(np.isfinite(c)):
             return np.zeros(0, dtype=np.complex128)
-        z = _quartic_roots(coeffs / 3.0)
+        z = _quartic_roots(np.array([c / 9.0, c[::-1] / 16.0]))
         # A near-double real root can come back with a small imaginary part.
-        x = z.real[np.abs(z.imag) <= 1e-6 * np.maximum(np.abs(z), 1.0)]
-        # A root at x = d maps to a non-finite y and fails the residual test.
-        y = -g * x / (x - d)
-        disc = g * g + 2.0 - d * d
-        if disc >= 0.0:
-            lx, ly = [d, d], [g + np.sqrt(disc), g - np.sqrt(disc)]
-            # At d g = 0 they are exact roots and go first, so that the
-            # deduplication keeps them over a quartic root that Newton
-            # brought only near one (at d = 0, g^2 = 2/3 the root at x = 0
-            # is fourfold, and Newton converges to it only linearly).
-            if d * g == 0.0:
-                x, y = np.append(lx, x), np.append(ly, y)
-            else:
-                x, y = np.append(x, lx), np.append(y, ly)
+        e = np.concatenate((z[0], 1.0 / z[1])).real
+        a = d - 1j * g
+        m = 2.0 * (e - 1.0)
+        # At d = 0, a +- s are exact mirrors b, -b*, as Newton keeps them: their
+        # excitations tie, and solve_beta's sort puts Re b < 0 first.
+        s = np.sqrt(a * a - m)
+        q = np.concatenate((a + s, a - s))
+        b = np.concatenate((q, np.tile(m, 2) / q))
+        x, y = b.real, b.imag
         # The seventh pass only evaluates: its step is not taken.
         for _ in range(7):
             b = x + 1j * y
@@ -128,12 +122,13 @@ def beta_roots(delta_r, gamma_r):
             fi = 2.0 * (g * x - d * y + x * y)
             j00, j01, j10, j11 = 6.0 * x - 2.0 * d, 2.0 * (y - g), 2.0 * (g + y), 2.0 * (x - d)
             det = j00 * j11 - j01 * j10
-            # A singular Jacobian, as at that fourfold root, takes no step.
+            # A singular Jacobian, as at the fourfold root (d = 0, g^2 = 2/3),
+            # takes no step; fr j11 ~ |b|^3 would overflow, j11 / det does not.
             det[det == 0.0] = np.inf
-            x, y = x - (fr * j11 - fi * j01) / det, y - (fi * j00 - fr * j10) / det
-        ok = np.maximum(np.abs(fr), np.abs(fi)) <= 1e-12 * np.maximum(1.0, np.abs(b) ** 2)
+            x, y = x - (fr * (j11 / det) - fi * (j01 / det)), y - (fi * (j00 / det) - fr * (j10 / det))
+        res = np.maximum(np.abs(fr), np.abs(fi)) / np.maximum(1.0, np.abs(b) ** 2)
     roots = []
-    for r in b[ok]:
+    for r in b[np.argsort(res, kind="stable")[: np.count_nonzero(res <= 1e-12)]]:
         if all(abs(r - k) > 1e-6 * max(1.0, abs(r)) for k in roots):
             roots.append(r)
     return np.array(roots, dtype=np.complex128)

@@ -269,32 +269,32 @@ class TestHessenberg:
 class TestQuarticRoots:
     def test_matches_companion_oracle(self):
         # the Aberth iteration against NumPy's companion-matrix roots, over
-        # random monic quartics whose coefficients span four decades
+        # random monic quartics whose coefficients span four decades, one at
+        # a time and as one stack
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = np.concatenate(([1.0], rng.normal(size=4) * 10.0 ** rng.uniform(-2, 2, size=4)))
+        stack = np.array([
+            np.concatenate(([1.0], rng.normal(size=4) * 10.0 ** rng.uniform(-2, 2, size=4)))
+            for _ in range(50)
+        ])
+        got_stack = _quartic_roots(stack)
+        assert got_stack.shape == (50, 4)
+        for a, got_row in zip(stack, got_stack):
             got = _quartic_roots(a)
             assert got.shape == (4,)
             for want in np.roots(a):
-                assert np.min(np.abs(got - want)) <= 1e-9 * max(1.0, abs(want)), (a, want)
+                for roots in (got, got_row):
+                    assert np.min(np.abs(roots - want)) <= 1e-9 * max(1.0, abs(want)), (a, want)
 
     def test_extreme_scale_does_not_overflow(self):
         # roots up to 3e100, whose fourth powers overflow, and one at 0.05,
-        # which sits in the constant coefficient
+        # which sits in the constant coefficient; alone, and stacked with a
+        # quartic of unit scale, so that each row has its own root bound
         want = [3e100, 2e100, 1e100, 0.05]
-        got = _quartic_roots(np.poly(want))
-        for w in want:
-            assert np.min(np.abs(got - w)) <= 1e-9 * w
-
-    @pytest.mark.parametrize("c", [-0.5, 0.7])
-    def test_zero_trailing_coefficients_are_exact_roots(self, c):
-        # a double root at 0, as at delta_r = 0: the iteration alone would
-        # stop at about 1e-48 after its whole step budget
-        got = _quartic_roots([1.0, 0.0, c, 0.0, 0.0])
-        assert np.count_nonzero(got == 0.0) == 2
-        want = np.sqrt(complex(-c))
-        for w in (want, -want):
-            assert np.min(np.abs(got - w)) <= 1e-14
+        small = [-2.5, -0.5, 1.5, 3.0]
+        stacked = _quartic_roots([np.poly(want), np.poly(small)])
+        for got, roots in ((_quartic_roots(np.poly(want)), want), (stacked[0], want), (stacked[1], small)):
+            for w in roots:
+                assert np.min(np.abs(got - w)) <= 1e-9 * abs(w)
 
 
 class TestCharPoly:
@@ -621,6 +621,25 @@ class TestSymplecticNu:
         v = np.diag([1.0, 1.0, 1.0, 1.0])
         v[0, 2] = v[2, 0] = 5.0  # wildly unphysical cross correlations
         assert np.isnan(am.symplectic_nu(v))
+
+    @pytest.mark.parametrize("var", [1e4, 1e6, 1e8])
+    def test_hot_equal_modes_under_a_beam_splitter(self, var):
+        # two equal thermal modes mixed by a beam splitter: the two
+        # symplectic eigenvalues coincide, so rad = sigma^2 - 4 det is 0 and
+        # rounds to about 1e-16 sigma^2, either sign; nu is the variance
+        c, s = np.cos(1.2), np.sin(1.2)
+        b = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+        assert am.symplectic_nu(b @ (var * np.eye(4)) @ b.T) == pytest.approx(var, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_negative_rad_is_nan(self, scale):
+        # blocks I, 3 I and cross block c R (R a rotation, c^2 = 4 + 1e-6):
+        # det v and sigma are positive, but rad = 4 (16 - 4 c^2) is about
+        # -4e-6 sigma^2, far below the rounding bound, at any scale
+        c = np.sqrt(4.0 + 1e-6)
+        cross = c * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        v = np.block([[np.eye(2), cross], [cross.T, 3.0 * np.eye(2)]])
+        assert np.isnan(am.symplectic_nu(scale * v))
 
     def test_zero_determinant_is_nan(self):
         # the x-variance of the first mode is 0: the clamp on the inner

@@ -71,19 +71,19 @@ class TestSolveBeta:
     def test_both_branches_at_large_detuning(self):
         # for delta_r >> 1 the roots are Re beta ~ -1/delta_r and
         # ~ 2 delta_r / 3; the second has |beta|^2 ~ delta_r^2, so its
-        # residual and its distance from a duplicate scale with it, and its
-        # fourth power overflows from delta_r ~ 1e77
-        for dr in (1e5, 1e50, 1e100):
+        # residual and its distance from a duplicate scale with it; at 1e150
+        # its squared terms, about 1e300, are near the top of the double range
+        for dr in (1e5, 1e50, 1e100, 1e120, 1e150):
             roots = am.solve_beta(dr, 1.0)
             assert len(roots) == 2
             assert roots[0].real == pytest.approx(-1.0 / dr, rel=1e-9)
             assert roots[1].real == pytest.approx(2.0 * dr / 3.0, rel=1e-9)
 
     def test_fourfold_root_on_the_line_is_exact(self):
-        # at delta_r = 0, gamma_r^2 = 2/3 the root -i gamma_r on the line
-        # x = 0 is fourfold and Newton reaches it from the quartic only
-        # linearly; the exact line point must be the one returned, at
-        # sqrt(2/3) and at both of its float neighbours
+        # at delta_r = 0, gamma_r^2 = 2/3 the root -i gamma_r is fourfold
+        # and Newton reaches it only linearly off the axis Re beta = 0; it
+        # must come back exactly on that axis, at sqrt(2/3) and at both of
+        # its float neighbours
         g0 = np.sqrt(2.0 / 3.0)
         for gr in (np.nextafter(g0, 0.0), g0, np.nextafter(g0, 1.0)):
             roots = beta_roots(0.0, gr)
@@ -91,8 +91,16 @@ class TestSolveBeta:
             assert np.all(roots.real == 0.0), (gr, roots)
             assert np.min(np.abs(roots + 1j * gr)) <= 1e-15, (gr, roots)
 
+    def test_mirror_pair_keeps_negative_real_part_first(self):
+        # at delta_r = 0, gamma_r^2 < 2/3 the two lowest roots +-x - i gamma_r
+        # have equal excitation; they must tie exactly, so that the sort puts
+        # Re beta < 0 first and steady --delta-r 0 reports that sign
+        for gr in np.linspace(0.0, np.sqrt(2.0 / 3.0), 161, endpoint=False):
+            low, mirror = am.solve_beta(0.0, gr)[:2]
+            assert low.real < 0.0 and mirror == -low.conjugate(), (gr, low, mirror)
+
     def test_overflowing_coefficients_raise(self):
-        # a root exists, but 2 delta_r^3 in the quartic leaves the double range
+        # a root exists, but 16 delta_r^2 in the quartic leaves the double range
         with pytest.raises(OverflowError, match=r"at delta_r = 1e\+200, gamma_r = 1$"):
             am.solve_beta(1e200, 1.0)
 
