@@ -33,6 +33,7 @@ from .svg import line_plot
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_CONFIG = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout closed it
 
 # What a command can raise on valid input: a pole at a verify spot check's
 # frequency, or an overflow: a Python-float power, an excitation root out of
@@ -442,7 +443,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command][1](args)
+        code = COMMANDS[args.command][1](args)
+        sys.stdout.flush()  # a closed pipe fails here, not as the interpreter exits
+        return code
+    except BrokenPipeError:  # what stdout still buffers goes to devnull at exit
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

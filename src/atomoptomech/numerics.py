@@ -41,7 +41,7 @@ def lu_solve(a, b):
     a stack by LU with partial pivoting, in place.
 
     The batch is the last axis: ``a`` is (n, n, batch) and ``b`` is
-    (n, batch), both C-contiguous scratch copies owned by the caller, so
+    (n, batch), scratch arrays owned by the caller, C-contiguous so that
     each pivot step runs over contiguous rows of the batch.  Returns x,
     which is ``b`` itself.  A system whose smallest pivot is at most
     ``PIVOT_TOL * ||a||_inf`` is singular and comes back NaN in x.
@@ -50,8 +50,6 @@ def lu_solve(a, b):
     so no temporary is as large as ``a``: the peak memory of a call is the
     stack itself plus about one of its rows.
     """
-    if not (a.flags.c_contiguous and b.flags.c_contiguous):
-        raise ValueError("lu_solve works in place on C-contiguous arrays")
     n, batch = b.shape
     systems = np.arange(batch)
     step = _slab(n, batch)
@@ -219,8 +217,7 @@ def hessenberg_solve(h, b, shifts):
     # fmin skips NaN, so a zero pivot stays recorded when the elimination
     # after it turns that shift into NaN.
     poles = functools.reduce(np.fmin, pivots) <= PIVOT_TOL * anorm
-    if poles.any():
-        y[..., poles] = np.nan
+    y[..., poles] = np.nan
     return y.reshape(rhs.shape + s.shape)
 
 
@@ -228,15 +225,13 @@ def char_poly(j):
     """Coefficients of the monic characteristic polynomial of a real matrix,
     or of each matrix of a stack (..., n, n), by the Faddeev-LeVerrier
     recursion; the result is (..., n + 1)."""
-    j = np.array(j, dtype=np.float64)
+    j = np.asarray(j, dtype=np.float64)
     if j.ndim < 2 or j.shape[-1] != j.shape[-2]:
         raise ValueError("char_poly expects square matrices")
     n = j.shape[-1]
     diag = np.arange(n)
-    coeffs = np.zeros(j.shape[:-2] + (n + 1,))
-    coeffs[..., 0] = 1.0
-    m = np.zeros(j.shape)
-    m[..., diag, diag] = 1.0
+    coeffs = np.ones(j.shape[:-2] + (n + 1,))  # the recursion writes all but the first
+    m = np.zeros(j.shape) + np.eye(n)
     for k in range(1, n + 1):
         m = j @ m
         c = -m[..., diag, diag].sum(axis=-1) / k
@@ -255,12 +250,12 @@ def routh_hurwitz_flags(coeffs):
     polynomial.  One coefficient vector gives a bool pair, a stack
     (..., n + 1) of them two bool arrays of its shape (...).
 
-    A vanishing first-column entry (exactly zero, or at rounding level
-    relative to the array scale) is replaced by eps = 1e-30 and flags the
-    polynomial marginal, so its verdict sits on a stability boundary; once
-    a polynomial is flagged, its scale stops growing.  A marginal
-    polynomial is not stable: a Hurwitz polynomial has every first-column
-    entry strictly positive.  A NaN coefficient makes it unstable.
+    A vanishing first-column entry (exactly zero, or, in a row that divides
+    the next, at most 1e-14 of the largest |entry| up to it) makes the
+    polynomial marginal, on a stability boundary, and so not stable: a
+    Hurwitz polynomial has every first-column entry strictly positive.
+    Nothing stands in for the entry; the rows after it may run to inf or
+    NaN and decide nothing.  A NaN coefficient makes it unstable.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     stack = coeffs.reshape(-1, coeffs.shape[-1])
@@ -269,24 +264,17 @@ def routh_hurwitz_flags(coeffs):
     table = np.zeros((batch, rows, width + 1))
     table[:, 0, :width] = stack[:, 0::2]
     table[:, 1, : rows // 2] = stack[:, 1::2]
-    scale = np.abs(table[:, :2, :width]).max(axis=(1, 2))
-    marginal = np.zeros(batch, dtype=bool)
-    eps = 1e-30
-    for r in range(2, rows):
-        small = np.abs(table[:, r - 1, 0]) <= 1e-14 * scale
-        table[small, r - 1, 0] = eps
-        marginal |= small
-        pivot = table[:, r - 1, 0, None]
-        table[:, r, :width] = (
-            pivot * table[:, r - 2, 1:] - table[:, r - 2, 0, None] * table[:, r - 1, 1:]
-        ) / pivot
-        grown = np.maximum(scale, np.abs(table[:, r, :width]).max(axis=1))
-        scale = np.where(marginal, scale, grown)
-    first = table[:, :, 0]
-    zero = first == 0.0
-    marginal |= zero.any(axis=1)
-    first = np.where(zero, eps, first)
-    stable = np.all(first[:, :1] * first > 0.0, axis=1) & ~marginal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r in range(2, rows):
+            pivot = table[:, r - 1, 0, None]
+            table[:, r, :width] = (
+                pivot * table[:, r - 2, 1:] - table[:, r - 2, 0, None] * table[:, r - 1, 1:]
+            ) / pivot
+        first = table[:, :, 0]
+        scale = np.maximum.accumulate(np.abs(table).max(axis=2), axis=1)
+        small = np.abs(first[:, 1:-1]) <= 1e-14 * scale[:, 1:-1]  # rows that divide the next
+        marginal = small.any(axis=1) | (first == 0.0).any(axis=1)
+        stable = np.all(first[:, :1] * first > 0.0, axis=1) & ~marginal
     if coeffs.ndim == 1:
         return bool(stable[0]), bool(marginal[0])
     return stable.reshape(coeffs.shape[:-1]), marginal.reshape(coeffs.shape[:-1])
@@ -348,7 +336,7 @@ def lyapunov_solve(j, d):
     n = j.shape[-1]
     scale = _drift_scale(j)
     js, ds = (j / scale).reshape(-1, n, n), (d / scale).reshape(-1, n, n)
-    rows = np.flatnonzero(hurwitz_flags(j)[0])
+    rows = np.flatnonzero(hurwitz_flags(js)[0])
     src, iu, full = _half_vec_maps(n)
     v = np.full(js.shape, np.nan)
     if len(rows):

@@ -102,8 +102,6 @@ def beta_roots(delta_r, gamma_r):
         d2, g2 = d * d, g * g
         c = np.array([9.0, -(48.0 + 4.0 * d2 + 36.0 * g2), 88.0 + 16.0 * d2 + 48.0 * g2,
                       -(64.0 + 16.0 * (d2 + g2)), 16.0])
-        if not np.all(np.isfinite(c)):
-            return np.zeros(0, dtype=np.complex128)
         z = _quartic_roots(np.array([c / 9.0, c[::-1] / 16.0]))
         # A near-double real root can come back with a small imaginary part.
         e = np.concatenate((z[0], 1.0 / z[1])).real

@@ -450,6 +450,43 @@ def test_import_leaves_the_verify_and_json_modules_unloaded():
     assert out.strip() == "['atomoptomech.svg']"
 
 
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed: every write that
+    reaches it raises BrokenPipeError."""
+    r, w = os.pipe()
+    os.close(r)
+    return w
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
+    # line-buffered, so the first print's write raises BrokenPipeError; what
+    # is left buffered goes to devnull, so closing the stream flushes cleanly
+    with os.fdopen(_closed_pipe(), "w", buffering=1) as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = cli.main(["steady", "--case", "1"])
+        closed.write("left in the buffer")
+    assert code == cli.EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_exits_141_with_empty_stderr(unbuffered):
+    # a real process writing to a pipe that its reader has closed, with
+    # stdout block-buffered (the error comes from main's flush) and
+    # unbuffered (from a print): no message, and no "Exception ignored" at exit
+    src = os.path.dirname(os.path.dirname(am.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    w = _closed_pipe()
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "atomoptomech.cli", "steady", "--case", "1"],
+            stdout=w, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(w)
+    assert (out.returncode, out.stderr) == (141, b"")
+
+
 class _Namespace:
     """argparse.Namespace stand-in returning None for unset flags."""
 

@@ -357,6 +357,41 @@ class TestRouthHurwitz:
         # on either side of the 1e-14 * scale threshold (scale 1)
         assert am.routh_hurwitz_flags([1.0, 1.0, 1.0, 1.0 - delta]) == want
 
+    def test_vanishing_entry_at_every_row(self):
+        # degree 6, Routh rows 0..6: an exact zero, and a rounding-level
+        # entry (a1 = 1 + 2^-52 against the exact zero's a1 = 1), first in
+        # rows 1 to 5 is marginal; nothing stands in for it, so the rows
+        # after it may run to inf or NaN without a warning.  Row 6, the last,
+        # divides nothing: only its exact zero (a root at 0) is marginal, and
+        # s (s + 1)^5 + 1e-300 is Hurwitz.  A NaN coefficient is unstable,
+        # and a zero drift marginal.
+        up = 1.0 + 2.0**-52
+        cases = [
+            ([1, 0, 1, 1, 1, 1, 1], (False, True)),  # row 1
+            ([1, 1e-16, 1, 1, 1, 1, 1], (False, True)),
+            ([1, 1, 1, 1, 1, 1, 1], (False, True)),  # row 2
+            ([1, up, 1, 1, 1, 1, 1], (False, True)),
+            ([1, 1, 1, 2, 1, 3, 1], (False, True)),  # row 3
+            ([1, up, 1, 2, 1, 3, 1], (False, True)),
+            ([1, 1, 2, 1, 1, 1, 1], (False, True)),  # row 4
+            ([1, up, 2, 1, 1, 1, 1], (False, True)),
+            ([1, 1, 1, 2, 1, 1, 1], (False, True)),  # row 5
+            ([1, up, 1, 2, 1, 1, 1], (False, True)),
+            ([1, 5, 10, 10, 5, 1, 0], (False, True)),  # row 6
+            ([1, 5, 10, 10, 5, 1, 1e-300], (True, False)),
+            ([1, 6, 15, np.nan, 15, 6, 1], (False, False)),
+            (am.char_poly(np.zeros((6, 6))), (False, True)),
+        ]
+        rows = np.array([c for c, _ in cases], dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable, marginal = am.routh_hurwitz_flags(rows)
+            singles = [am.routh_hurwitz_flags(r) for r in rows]
+            zero_drift = hurwitz_flags(np.zeros((6, 6)))
+        assert list(zip(stable.tolist(), marginal.tolist())) == [want for _, want in cases]
+        assert singles == [want for _, want in cases]
+        assert zero_drift == (False, True)
+
     def test_flags_of_a_stack(self):
         # a stack of coefficient rows gives two bool arrays, row by row the
         # verdicts of the one-polynomial call
@@ -640,6 +675,18 @@ class TestSymplecticNu:
         cross = c * np.array([[0.0, 1.0], [-1.0, 0.0]])
         v = np.block([[np.eye(2), cross], [cross.T, 3.0 * np.eye(2)]])
         assert np.isnan(am.symplectic_nu(scale * v))
+
+    @pytest.mark.parametrize("c,want", [(1.1, None), (0.999, 0.04471017781221678)])
+    def test_sigma_bound_each_side(self, c, want):
+        # v = [[I, C], [C, I]], C = c I: sigma = 2 - 2 c^2 is -0.42 at
+        # c = 1.1, with det v = (1 - c^2)^2 = 0.0441 > 0, so only sigma <= 0
+        # marks it no state; at c = 0.999 sigma = 0.004 and nu^2 = 1 - c^2
+        v = np.block([[np.eye(2), c * np.eye(2)], [c * np.eye(2), np.eye(2)]])
+        nu = am.symplectic_nu(v)
+        if want is None:
+            assert np.isnan(nu)
+        else:
+            assert nu == pytest.approx(want, rel=1e-9)
 
     def test_zero_determinant_is_nan(self):
         # the x-variance of the first mode is 0: the clamp on the inner

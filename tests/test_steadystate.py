@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestSolveBeta:
         for gr in np.linspace(0.0, np.sqrt(2.0 / 3.0), 161, endpoint=False):
             low, mirror = am.solve_beta(0.0, gr)[:2]
             assert low.real < 0.0 and mirror == -low.conjugate(), (gr, low, mirror)
+
+    @pytest.mark.parametrize("d,g", [(1e154, 1.0), (1.0, 2e153), (3e200, 1e200)])
+    def test_non_finite_coefficients_give_no_root_quietly(self, d, g):
+        # an overflowed quartic coefficient ends in no root through the
+        # Aberth pass and the residual filter, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(beta_roots(d, g)) == 0
 
     def test_overflowing_coefficients_raise(self):
         # a root exists, but 16 delta_r^2 in the quartic leaves the double range
