@@ -203,7 +203,11 @@ def _emit(args, csv_text: str, svg) -> int:
         _write_text(args.out, csv_text)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(csv_text)
+        # Pieces of at most PIPE_BUF (4096) bytes, as the CSV is ASCII: a pipe
+        # takes such a write whole or fails it with EPIPE, where an unbuffered
+        # stdout would drop the rest of a longer write unreported.
+        for i in range(0, len(csv_text), 4096):
+            sys.stdout.write(csv_text[i : i + 4096])
     if args.svg:
         _write_text(args.svg, svg())
         print(f"wrote {args.svg}")

@@ -36,6 +36,15 @@ def _slab(rows, batch):
     return max(1, rows // max(batch, 1))
 
 
+def _mark_singular(x, pivots, anorm):
+    """``x`` with NaN in each system (last axis) whose smallest pivot, over
+    the per-step magnitudes ``pivots``, is at most ``PIVOT_TOL * anorm``."""
+    # fmin skips NaN, so a zero pivot stays recorded when the elimination
+    # after it turns that system into NaN.
+    x[..., functools.reduce(np.fmin, pivots) <= PIVOT_TOL * anorm] = np.nan
+    return x
+
+
 def lu_solve(a, b):
     """Solve ``a[..., s] @ x[..., s] = b[..., s]`` for every system ``s`` of
     a stack by LU with partial pivoting, in place.
@@ -56,16 +65,14 @@ def lu_solve(a, b):
     anorm = np.zeros(batch)
     for i in range(0, n, step):
         anorm = np.maximum(anorm, np.abs(a[i : i + step]).sum(axis=1).max(axis=0))
-    min_pivot = np.full(batch, np.inf)
+    pivots = []
     with np.errstate(divide="ignore", invalid="ignore"):
         # The last pivot has nothing to search, swap or eliminate: it only
-        # joins min_pivot after the loop.
+        # joins the pivots after the loop.
         for k in range(n - 1):
             mag = np.abs(a[k:, k])
             piv = k + np.argmax(mag, axis=0)
-            # fmin skips NaN, so a zero pivot stays recorded when the
-            # elimination after it turns that system into NaN.
-            min_pivot = np.fmin(min_pivot, mag.max(axis=0))
+            pivots.append(mag.max(axis=0))
             # Swap row k with each system's pivot row from column k on
             # (the columns before it are no longer read).  NumPy puts the
             # broadcast index axis (piv, systems) first, so the pivot rows
@@ -80,7 +87,7 @@ def lu_solve(a, b):
             for i in range(0, n - k - 1, step):
                 below[i : i + step, k + 1 :] -= f[i : i + step, None] * a[k, None, k + 1 :]
             b[k + 1 :] -= f * b[k, None]
-        min_pivot = np.fmin(min_pivot, np.abs(a[-1, -1]))
+        pivots.append(np.abs(a[-1, -1]))
         # Back substitution subtracts each row's terms one after another in
         # column order (subtract.reduce over the leading axis is a left
         # fold), so a system rounds the same whatever its size or batch.
@@ -88,8 +95,7 @@ def lu_solve(a, b):
             terms = a[i, i + 1 :] * b[i + 1 :]
             s = np.subtract.reduce(np.concatenate((b[i, None], terms)), axis=0)
             b[i] = s / a[i, i]
-    b[:, min_pivot <= PIVOT_TOL * anorm] = np.nan
-    return b
+    return _mark_singular(b, pivots, anorm)
 
 
 def hessenberg(a):
@@ -147,14 +153,13 @@ def hessenberg_solve(h, b, shifts):
     """Solve ``(h - s I) y = b`` for every shift s of a 1-D array, with h
     upper Hessenberg: O(n^2) work per shift.
 
-    ``b`` is (n,) or (n, r), shared by every shift, and y comes back
-    batch-last, (n, batch) or (n, r, batch).  Elimination step k pivots
-    between the only two rows with an entry in column k: the row carried
-    from the step before and row k + 1 of h - s I.  A row is a list of its
-    entries from column k on, then its right-hand sides as one (r, 1) or
-    (r, batch) block.  An entry of h, and a zero block of b, is one number;
-    only the diagonal and the fill-in are arrays over the shifts, and a
-    term whose number is 0 is skipped.  A shift at which a pivot is at most
+    ``b`` is (n, r), shared by every shift, and y comes back batch-last,
+    (n, r, batch).  Elimination step k pivots between the only two rows
+    with an entry in column k: the row carried from the step before and
+    row k + 1 of h - s I.  A row is a list of its entries from column k
+    on, then its right-hand sides as one (r, 1) or (r, batch) block.  An
+    entry of h is one NumPy number; only the diagonal and the fill-in are
+    arrays over the shifts.  A shift at which a pivot is at most
     ``PIVOT_TOL * ||h - s I||_inf`` is a pole, NaN in every column.  Every
     operation has an array operand and is elementwise over the shifts, so
     a shift's y does not depend on the others, in the last bit too (NumPy's
@@ -163,14 +168,11 @@ def hessenberg_solve(h, b, shifts):
     """
     h = np.asarray(h)
     s = np.asarray(shifts, dtype=np.complex128)
-    rhs = np.asarray(b, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     n, batch = len(h), len(s)
-    cols = rhs.reshape(n, -1)
     # NumPy scalars: a Python float or complex would go through a slower
-    # casting loop against the arrays.  Every zero is the one object below.
-    zero = np.complex128(0.0)
-    hs = [[x if x else zero for x in r] for r in h.astype(np.complex128)]
-    bs = [r if nz else zero for r, nz in zip(cols[:, :, None], cols.any(axis=1).tolist())]
+    # casting loop against the arrays.
+    hs = [list(r) for r in h.astype(np.complex128)]
     diag = h.diagonal()[:, None] - s
     size = np.abs(h)
     off = size.sum(axis=1) - size.diagonal()
@@ -179,12 +181,13 @@ def hessenberg_solve(h, b, shifts):
     def row(i):
         # row i of h - s I from column i - 1 on, right-hand sides at its end
         start = max(i - 1, 0)
-        e = hs[i][start:] + [bs[i]]
+        e = hs[i][start:] + [b[i, :, None]]
         e[i - start] = diag[i]
         return e
 
     u, cur, pivots = [], row(0), []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # over: y may leave the double range near a pole; like NaN, inf is no value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n - 1):
             fresh = row(k + 1)
             mag, sub = np.abs(cur[0]), abs(fresh[0])
@@ -203,22 +206,17 @@ def hessenberg_solve(h, b, shifts):
                 other = [np.where(swap, c, f) for f, c in zip(fresh, cur)]
                 pivots.append(np.maximum(mag, sub))
             f = other[0] / piv[0]
-            cur = [o if p is zero else o - f * p for o, p in zip(other[1:], piv[1:])]
+            cur = [o - f * p for o, p in zip(other[1:], piv[1:])]
             u.append(piv)
         pivots.append(np.abs(cur[0]))
         u.append(cur)
-        y = np.empty((n, cols.shape[1], batch), dtype=np.complex128)
+        y = np.empty((n, b.shape[1], batch), dtype=np.complex128)
         for i in range(n - 1, -1, -1):
             acc = u[i][-1]
             for j in range(i + 1, n):
-                if u[i][j - i] is not zero:
-                    acc = acc - u[i][j - i] * y[j]
+                acc = acc - u[i][j - i] * y[j]
             y[i] = acc / u[i][0]
-    # fmin skips NaN, so a zero pivot stays recorded when the elimination
-    # after it turns that shift into NaN.
-    poles = functools.reduce(np.fmin, pivots) <= PIVOT_TOL * anorm
-    y[..., poles] = np.nan
-    return y.reshape(rhs.shape + s.shape)
+    return _mark_singular(y, pivots, anorm)
 
 
 def char_poly(j):
@@ -263,7 +261,8 @@ def routh_hurwitz_flags(coeffs):
     width = (rows + 1) // 2
     table = np.zeros((batch, rows, width + 1))
     table[:, 0, :width] = stack[:, 0::2]
-    table[:, 1, : rows // 2] = stack[:, 1::2]
+    if rows > 1:  # a constant has no second row
+        table[:, 1, : rows // 2] = stack[:, 1::2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for r in range(2, rows):
             pivot = table[:, r - 1, 0, None]
@@ -281,8 +280,8 @@ def routh_hurwitz_flags(coeffs):
 
 
 def _drift_scale(j):
-    """Largest |entry| of each drift, axes kept; 1 for a zero drift."""
-    scale = np.abs(j).max(axis=(-2, -1), keepdims=True)
+    """Largest |entry| of each drift, axes kept; 1 for a zero or empty drift."""
+    scale = np.abs(j).max(axis=(-2, -1), keepdims=True, initial=0.0)
     return np.where(scale > 0.0, scale, 1.0)
 
 

@@ -174,7 +174,7 @@ def transfer_direct(
     """Transfer coefficients by solving the 6x6 system at ``omega``: the
     +omega half of :func:`transfer_pair`, with its arrays, NaN poles and
     PoleAtOmega."""
-    return _output_map(params, _inverse_rows(params, couplings, ss, omega)[:, 0])
+    return transfer_pair(params, couplings, ss, omega)[0]
 
 
 def transfer_closed_form(

@@ -176,10 +176,7 @@ def fixed_point(params: SystemParams) -> SteadyState:
             * (1.0 - excitation / 2.0)
             / (params.kappa + 1j * params.delta)
         )
-        try:
-            photons = abs(c_s) ** 2
-        except OverflowError:  # Python floats raise where NumPy gives inf
-            photons = math.inf
+        photons = np.abs(c_s) ** 2
         x_s = single_photon_coupling(params) * photons / params.omega_m
     check_finite("intracavity photon number |c_s|^2", photons, params)
     check_finite("static mirror displacement x_s = g0 |c_s|^2 / omega_m", x_s, params)

@@ -487,6 +487,24 @@ def test_closed_pipe_exits_141_with_empty_stderr(unbuffered):
     assert (out.returncode, out.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_leaving_mid_csv_exits_141_with_empty_stderr(unbuffered):
+    # `spectrum | head -1`: the reader takes one line of the 148 kB CSV and
+    # closes the pipe while the CLI is still writing, so the next write
+    # fails, also where stdout is unbuffered and a single write of the whole
+    # CSV would end short without an error
+    src = os.path.dirname(os.path.dirname(am.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "atomoptomech.cli", "spectrum"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"omega_over_omega_m,s_out_g25,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")
+
+
 class _Namespace:
     """argparse.Namespace stand-in returning None for unset flags."""
 
@@ -622,6 +640,21 @@ class TestSpectrumCommand:
                                      "--points", "2")
         assert code == 0 and err == ""
         assert len(out.splitlines()) == 3
+
+    def test_all_pole_panel_warns_nothing(self, capsys):
+        # a panel of scales far below 1 in which every shift is a pole: y
+        # overflows at some of them in the back substitution, with no
+        # warning, and every cell is empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "spectrum", "--delta=8.878003381327961e-182",
+                "--kappa=1.330945341376443e-246", "--cavity-length=5.839728458146981e-98",
+                "--delta-r=6.127552702793995", "--gamma-r=0.023171158289309518",
+            )
+        assert code == 0 and err == ""
+        header = "omega_over_omega_m,s_out_g25,s_out_g50,s_out_g75,s_out_g100\n"
+        assert out == header + "".join("%.12g,,,,\n" % x for x in np.linspace(0.5, 1.5, 2000))
 
     def test_svg_written(self, capsys, tmp_path):
         svg = tmp_path / "plot.svg"

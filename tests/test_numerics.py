@@ -213,20 +213,18 @@ class TestHessenberg:
                 assert np.array_equal(h, a)
                 assert np.array_equal(g, np.eye(6)) and np.array_equal(g_inv, np.eye(6))
 
-    @pytest.mark.parametrize("rhs", [(6,), (6, 2)], ids=["one", "two"])
-    def test_shifted_solve_matches_numpy_solve(self, rhs):
-        rng = np.random.default_rng(63 + len(rhs))
+    @pytest.mark.parametrize("r", [1, 2], ids=["one", "two"])
+    def test_shifted_solve_matches_numpy_solve(self, r):
+        rng = np.random.default_rng(62 + r)
         for _ in range(10):
             h = _random_hessenberg(rng)
-            b = rng.normal(size=rhs) + 1j * rng.normal(size=rhs)
+            b = rng.normal(size=(6, r)) + 1j * rng.normal(size=(6, r))
             s = 3.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
             y = numerics.hessenberg_solve(h, b, s)
-            assert y.shape == rhs + (200,)
-            stack = h - s[:, None, None] * np.eye(6)
-            want = np.linalg.solve(stack, b.reshape(6, -1)).reshape((200,) + rhs)
-            want = np.moveaxis(want, 0, -1)
-            err = np.max(np.abs(y - want), axis=tuple(range(len(rhs))))
-            assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=tuple(range(len(rhs)))))
+            assert y.shape == (6, r, 200)
+            want = np.moveaxis(np.linalg.solve(h - s[:, None, None] * np.eye(6), b), 0, -1)
+            err = np.max(np.abs(y - want), axis=(0, 1))
+            assert np.all(err <= 1e-12 * np.max(np.abs(want), axis=(0, 1)))
 
     def test_eigenvalue_shift_is_nan(self):
         # the shifts at the diagonal of a triangular h are its eigenvalues,
@@ -234,6 +232,21 @@ class TestHessenberg:
         rng = np.random.default_rng(65)
         h = np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         s = np.concatenate((np.diagonal(h), [0.5j, 10.0]))
+        y = numerics.hessenberg_solve(h, np.ones((6, 2)), s)
+        assert np.all(np.isnan(y[..., :6]))
+        assert np.all(np.isfinite(y[..., 6:]))
+
+    def test_pole_bound_each_side(self):
+        # a shift 0.5 and 2 times PIVOT_TOL * ||h - s I||_inf away from a
+        # diagonal entry of a triangular h (an eigenvalue) makes that
+        # entry's pivot just inside and just outside the pole bound, at
+        # every step
+        rng = np.random.default_rng(68)
+        h = np.triu(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        lam = np.diagonal(h)
+        # ||h - s I||_inf at s = lam, which the offsets change in the 14th digit
+        norm = np.abs(h[None] - lam[:, None, None] * np.eye(6)).sum(axis=2).max(axis=1)
+        s = np.concatenate((lam + 0.5 * PIVOT_TOL * norm, lam + 2.0 * PIVOT_TOL * norm))
         y = numerics.hessenberg_solve(h, np.ones((6, 2)), s)
         assert np.all(np.isnan(y[..., :6]))
         assert np.all(np.isfinite(y[..., 6:]))
@@ -391,6 +404,17 @@ class TestRouthHurwitz:
         assert list(zip(stable.tolist(), marginal.tolist())) == [want for _, want in cases]
         assert singles == [want for _, want in cases]
         assert zero_drift == (False, True)
+
+    def test_constant_has_no_roots(self):
+        # degree 0: a monic constant has no roots, so it is stable and not
+        # marginal, as is the characteristic polynomial of a 0x0 drift
+        assert am.routh_hurwitz_flags([1.0]) == (True, False)
+        stable, marginal = am.routh_hurwitz_flags(np.ones((3, 1)))
+        assert stable.tolist() == [True] * 3 and marginal.tolist() == [False] * 3
+        assert am.char_poly(np.zeros((0, 0))).tolist() == [1.0]
+        assert hurwitz_flags(np.zeros((0, 0))) == (True, False)
+        stable, marginal = hurwitz_flags(np.zeros((2, 0, 0)))
+        assert stable.tolist() == [True] * 2 and marginal.tolist() == [False] * 2
 
     def test_flags_of_a_stack(self):
         # a stack of coefficient rows gives two bool arrays, row by row the
