@@ -36,9 +36,9 @@ EXIT_CONFIG = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout closed it
 
 # What a command can raise on valid input: a pole at a verify spot check's
-# frequency, or an overflow: a Python-float power, an excitation root out of
-# floating-point reach, or a steady-state quantity or coupling that
-# params.check_finite names.
+# frequency, or an overflow that names its quantity: an excitation root out
+# of floating-point reach, a steady-state quantity or coupling that
+# params.check_finite names, the thermal noise weight, or E_N at nu = 0.
 _NUMERIC_ERRORS = (PoleAtOmega, OverflowError)
 
 CASE_PRESETS = {"1": (1.0, 1.0), "2.5": (2.5, 2.5), "8": (8.0, 8.0)}
@@ -352,7 +352,7 @@ def cmd_reproduce(args) -> int:
 def cmd_verify(args) -> int:
     from .selfcheck import run_verification
 
-    failures = run_verification(seed=args.seed, n_equivalence=args.points)
+    failures = run_verification(args.seed, args.points)
     print(f"{failures} failure(s)")
     return min(failures, 125)
 

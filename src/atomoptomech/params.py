@@ -97,7 +97,11 @@ def validate(params: SystemParams) -> list[str]:
 
     Warnings flag strained approximations (they do not stop a run):
     excitation fraction above 0.5, an excitation root out of floating-point
-    range, overdamped mechanics, tiny ensembles.
+    range, overdamped mechanics, tiny ensembles.  No command prints the
+    out-of-range warning: ``steady`` then fails on the root itself, and
+    ``spectrum``, ``entangle`` and ``reproduce`` drop the warnings.  It lets
+    ``reproduce`` run under a config-file delta_r or gamma_r that each of
+    its panels overrides.
     ``delta`` may be an array of detunings; each entry must be finite.
     """
     for name in _POSITIVE_FIELDS:

@@ -1,8 +1,9 @@
 """Built-in verification: oracle cross-checks runnable from the CLI.
 
-Each check returns (name, passed, detail).  The equivalence check accepts
-the closed-form evaluator as a parameter so a deliberately perturbed
-evaluator can be shown to fail (mutation sanity).
+Each check returns (name, passed, detail).  ``verify --seed`` seeds the
+root-residual and transfer-route draws and ``--points`` sets the
+transfer-route sample size; the Lyapunov check always draws its 25 points
+from seed 7, and the shot-noise check uses 100 frequencies.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from dataclasses import astuple
 
 import numpy as np
 
-from . import spectrum as spec_mod
 from .entanglement import DriftSystem, build_drift, steady_covariance
 from .numerics import hurwitz_flags, symplectic_nu
 from .params import SystemParams, derive_couplings
-from .spectrum import output_spectrum, transfer_pair
+from .spectrum import output_spectrum, transfer_closed_form, transfer_pair
 from .steadystate import excitation_equation, fixed_point, solve_beta
 
 
@@ -26,13 +26,13 @@ def _rel_err(a, b):
     return num / den
 
 
-def check_root_residuals(n_random=25, seed=0):
+def check_root_residuals(seed):
     """Every root returned by ``solve_beta``, high branches too, satisfies its
     equation, to the residual 1e-12 max(1, |beta|^2) that keeps a root."""
     rng = np.random.default_rng(seed)
     residuals = [0.0]
     cases = [(1.0, 1.0), (2.5, 2.5), (8.0, 8.0), (1e120, 1.0)]
-    cases += [(rng.uniform(0.2, 10.0), rng.uniform(0.2, 10.0)) for _ in range(n_random)]
+    cases += [(rng.uniform(0.2, 10.0), rng.uniform(0.2, 10.0)) for _ in range(25)]
     for dr, gr in cases:
         for root in solve_beta(dr, gr):
             res = excitation_equation(root, dr, gr)
@@ -75,38 +75,37 @@ def random_stable_operating_point(rng):
             return p, ss, cpl
 
 
-def check_transfer_equivalence(n_points=200, seed=1234, closed_form=None):
+def check_transfer_equivalence(n_points, seed):
     """Hessenberg route vs closed-form route on random stable points and
     frequencies w: both halves of :func:`transfer_pair`, the coefficients
     at w and those at -w that the spectrum reads off the same solve."""
-    closed = closed_form or spec_mod.transfer_closed_form
     rng = np.random.default_rng(seed)
     errors = [0.0]
     for _ in range(n_points):
         p, ss, cpl = random_stable_operating_point(rng)
         w = rng.uniform(-2.0, 2.0) * p.omega_m
         for solved, wk in zip(transfer_pair(p, cpl, ss, w), (w, -w)):
-            errors += map(_rel_err, astuple(solved), astuple(closed(p, cpl, ss, wk)))
+            errors += map(_rel_err, astuple(solved), astuple(transfer_closed_form(p, cpl, ss, wk)))
     worst = np.max(errors)  # keeps NaN, unlike the builtin max
     return "transfer-route equivalence", worst <= 1e-8, f"worst relative {worst:.2e}"
 
 
-def check_shot_noise_floor(n_points=100):
+def check_shot_noise_floor():
     """Zero coupling and zero temperature pin the spectrum at 1."""
     p = SystemParams(coupling_G=0.0, temperature=0.0)
     ss = fixed_point(p)
     cpl = derive_couplings(p, ss)
-    s = output_spectrum(p, cpl, ss, np.linspace(0.5, 1.5, n_points) * p.omega_m)
+    s = output_spectrum(p, cpl, ss, np.linspace(0.5, 1.5, 100) * p.omega_m)
     worst = float(np.max(np.abs(s - 1.0)))
     return "shot-noise floor", worst <= 1e-10, f"worst |S-1| {worst:.2e}"
 
 
-def check_lyapunov_residuals(n_points=25, seed=7):
+def check_lyapunov_residuals():
     """Residual of the Lyapunov solve on random stable operating points,
     solved as one stack, the way the detuning sweeps solve them."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     drifts = []
-    for _ in range(n_points):
+    for _ in range(25):
         p, ss, cpl = random_stable_operating_point(rng)
         drifts.append(build_drift(p, cpl, ss))
     stack = DriftSystem(j=np.stack([x.j for x in drifts]), d=np.stack([x.d for x in drifts]))
@@ -139,25 +138,19 @@ def check_symplectic_closed_forms():
     return "symplectic eigenvalue closed forms", bool(ok), "; ".join(details)
 
 
-ALL_CHECKS = (
-    check_root_residuals,
-    check_reference_excitations,
-    check_transfer_equivalence,
-    check_shot_noise_floor,
-    check_lyapunov_residuals,
-    check_symplectic_closed_forms,
-)
-
-
-def run_verification(seed=1234, n_equivalence=200):
+def run_verification(seed, n_equivalence):
     """Run all checks, print a pass/fail table, return the failure count."""
-    kwargs = {
-        check_root_residuals: {"seed": seed},
-        check_transfer_equivalence: {"n_points": n_equivalence, "seed": seed},
-    }
+    checks = (
+        (check_root_residuals, (seed,)),
+        (check_reference_excitations, ()),
+        (check_transfer_equivalence, (n_equivalence, seed)),
+        (check_shot_noise_floor, ()),
+        (check_lyapunov_residuals, ()),
+        (check_symplectic_closed_forms, ()),
+    )
     failures = 0
-    for check in ALL_CHECKS:
-        name, passed, detail = check(**kwargs.get(check, {}))
+    for check, args in checks:
+        name, passed, detail = check(*args)
         failures += 0 if passed else 1
         print(f"{'PASS' if passed else 'FAIL'}  {name:38s} {detail}")
     return failures

@@ -177,6 +177,7 @@ def transfer_direct(
     return transfer_pair(params, couplings, ss, omega)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def transfer_closed_form(
     params: SystemParams, couplings: DerivedCouplings, ss: SteadyState, omega: float
 ) -> TransferCoefficients:
@@ -185,6 +186,8 @@ def transfer_closed_form(
     These are the cofactor expressions of the first row of the inverse 6x6
     system written out, over the determinant d as common denominator; they
     are checked against the Hessenberg route by the verification suite.
+    A determinant or a cofactor quotient out of floating-point range raises
+    OverflowError naming it and omega.
     """
     w = float(omega)
     kappa, gamma_a, delta = params.kappa, params.gamma_a, params.delta
@@ -276,13 +279,18 @@ def transfer_closed_form(
         + g3 * csc * (g2 * nu2 + 1j * g3 * g1c)
     )
 
-    # d carries six powers of rate; scale the underflow guard accordingly.
-    # The guard runs before the quotients, so a pole divides by nothing.
-    scale = max(params.kappa, params.gamma_a, params.omega_m, abs(w), 1.0) ** 6
-    if abs(d) < 1e-300 * scale:
+    if not np.isfinite(d):
+        raise OverflowError(f"closed-form determinant overflows at omega={w!r}")
+    # d carries six powers of rate; the underflow guard compares its sixth
+    # root with the largest rate, whose sixth power can overflow where d
+    # does not.  The guard runs before the quotients, so a pole divides by
+    # nothing.
+    if abs(d) ** (1 / 6) < 1e-50 * max(params.kappa, params.gamma_a, params.omega_m, abs(w), 1.0):
         raise PoleAtOmega(f"denominator vanished at omega={w!r}")
-    row = [br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 0.0, 1j * g0 * wm * br_f / d]
-    return _output_map(params, np.array(row))
+    row = np.array([br_a / d, 1j * br_b / d, 1j * br_c / d, br_d / d, 0.0, 1j * g0 * wm * br_f / d])
+    if not np.isfinite(row).all():
+        raise OverflowError(f"closed-form cofactor over determinant overflows at omega={w!r}")
+    return _output_map(params, row)
 
 
 def output_spectrum(

@@ -10,8 +10,8 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def _ticks(lo, hi, n=5):
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo, hi):
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _fixed2(values):

@@ -1109,18 +1109,20 @@ class TestVerifyCommand:
         _, passed, detail = selfcheck.check_lyapunov_residuals()
         assert not passed and detail.endswith("nan")
 
-    def test_nan_closed_form_route_fails_the_check(self):
+    def test_nan_closed_form_route_fails_the_check(self, monkeypatch):
         # a NaN coefficient among finite ones must fail the check, not be
         # dropped by the fold over the worst error
         from dataclasses import replace
 
-        from atomoptomech.selfcheck import check_transfer_equivalence
+        from atomoptomech import selfcheck
+
+        closed = selfcheck.transfer_closed_form
 
         def nan_a_c(params, couplings, ss, omega):
-            t = am.transfer_closed_form(params, couplings, ss, omega)
-            return replace(t, a_c=complex("nan"))
+            return replace(closed(params, couplings, ss, omega), a_c=complex("nan"))
 
-        _, passed, detail = check_transfer_equivalence(n_points=20, seed=3, closed_form=nan_a_c)
+        monkeypatch.setattr(selfcheck, "transfer_closed_form", nan_a_c)
+        _, passed, detail = selfcheck.check_transfer_equivalence(n_points=20, seed=3)
         assert not passed and detail.endswith("nan")
 
     def test_nan_root_residual_fails_the_check(self, monkeypatch):
@@ -1132,8 +1134,29 @@ class TestVerifyCommand:
             return complex("nan") if dr == 2.5 else equation(beta, dr, gr)
 
         monkeypatch.setattr(selfcheck, "excitation_equation", nan_at_case_2p5)
-        _, passed, detail = selfcheck.check_root_residuals()
+        _, passed, detail = selfcheck.check_root_residuals(seed=0)
         assert not passed and detail.endswith("nan")
+
+    def test_run_verification_prints_every_check_in_order(self, monkeypatch, capsys):
+        # one failing check is counted once and the others still run, each
+        # printed on its own line in the fixed order
+        from atomoptomech import selfcheck
+
+        monkeypatch.setattr(selfcheck, "excitation_equation", lambda beta, dr, gr: complex("nan"))
+        assert selfcheck.run_verification(1234, 20) == 1
+        lines = capsys.readouterr().out.splitlines()
+        names = [
+            "excitation-equation residuals",
+            "reference excitation fractions",
+            "transfer-route equivalence",
+            "shot-noise floor",
+            "Lyapunov residuals",
+            "symplectic eigenvalue closed forms",
+        ]
+        assert [line[6:44].rstrip() for line in lines] == names
+        assert [line[:4] for line in lines] == ["FAIL"] + ["PASS"] * 5
+        code, out, _ = run_cli(capsys, "verify", "--points", "20")
+        assert code == 1 and out.endswith("1 failure(s)\n")
 
     def test_perturbed_minus_omega_half_fails(self, monkeypatch):
         # the -w coefficients the spectrum reads off the +w factorization
@@ -1152,18 +1175,19 @@ class TestVerifyCommand:
         _, passed, detail = selfcheck.check_transfer_equivalence(n_points=10, seed=7)
         assert not passed, detail
 
-    def test_perturbed_closed_form_fails(self):
+    def test_perturbed_closed_form_fails(self, monkeypatch):
         # mutation sanity: a deliberately perturbed coefficient must trip
         # the equivalence check
-        from atomoptomech.selfcheck import check_transfer_equivalence
+        from dataclasses import replace
+
+        from atomoptomech import selfcheck
+
+        closed = selfcheck.transfer_closed_form
 
         def perturbed(params, couplings, ss, omega):
-            t = am.transfer_closed_form(params, couplings, ss, omega)
-            from dataclasses import replace
-
+            t = closed(params, couplings, ss, omega)
             return replace(t, c_c=t.c_c * (1.0 + 1e-6))
 
-        name, passed, detail = check_transfer_equivalence(
-            n_points=10, seed=7, closed_form=perturbed
-        )
+        monkeypatch.setattr(selfcheck, "transfer_closed_form", perturbed)
+        name, passed, detail = selfcheck.check_transfer_equivalence(n_points=10, seed=7)
         assert not passed

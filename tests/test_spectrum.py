@@ -187,6 +187,35 @@ class TestTransferRoutes:
             with pytest.raises(am.PoleAtOmega):
                 am.transfer_closed_form(p, cpl, ss, 0.9 * default_params.omega_m)
 
+    @staticmethod
+    def _at_kappa(base, kappa):
+        p = base.replace(kappa=kappa, gamma_a=20 * kappa, coupling_G=25 * kappa)
+        ss = am.fixed_point(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return am.transfer_closed_form(p, am.derive_couplings(p, ss), ss, p.omega_m)
+
+    @pytest.mark.parametrize("kappa", [1e52, 1e60])
+    def test_pole_guard_takes_no_power_of_the_rates(self, default_params, kappa):
+        # d is finite at these rates, the sixth power of the largest is not
+        want = self._at_kappa(default_params, 1e50).a_c
+        got = self._at_kappa(default_params, kappa).a_c
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_determinant_overflow_is_named(self, default_params):
+        with pytest.raises(OverflowError, match="closed-form determinant overflows at omega="):
+            self._at_kappa(default_params, 1e100)
+
+    def test_cofactor_overflow_is_named(self):
+        # d is finite here but the cofactors are not
+        p = am.SystemParams(cavity_length=5.08e-132, gamma_m=2.47e40, omega_m=5.66e32)
+        ss = am.fixed_point(p)
+        cpl = am.derive_couplings(p, ss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="closed-form cofactor over determinant"):
+                am.transfer_closed_form(p, cpl, ss, p.omega_m)
+
 
 class TestTransferPair:
     @pytest.mark.parametrize("case", [1.0, 2.5, 8.0])
